@@ -10,6 +10,9 @@
 //   - HiPerBOt's streamed Ranking sweep is bitwise-identical to the
 //     materialized-pool sweep on a flat unconstrained space — suggestions
 //     and journal bytes alike;
+//   - a golden pin of the full systolic space (one Feistel pass's valid
+//     candidates and HiPerBOt's first 60 streamed suggestions), so a change
+//     of generation strategy cannot silently change streamed output;
 //   - sentinel-bearing configurations round-trip through the write-ahead
 //     journal (append + replay + engine resume on a systolic session), the
 //     history CSV warm start, and the wire protocol without drift;
@@ -292,6 +295,68 @@ TEST(StreamedSweep, DrivesHugeSystolicSpaceWithoutMaterializing) {
     EXPECT_TRUE(seen.insert(objective.space().ordinal_of(c)).second);
     tuner.observe(c, objective.evaluate(c));
   }
+}
+
+/// Order-sensitive digest of a pass's (ordinal, pass index) sequence.
+std::uint64_t pass_digest(const std::vector<CandidateStream::Candidate>& pass) {
+  std::uint64_t h = pass.size();
+  for (const auto& cand : pass) {
+    h = hash_combine(hash_combine(h, cand.ordinal), cand.pass_index);
+  }
+  return h;
+}
+
+TEST(StreamedSweep, SystolicSuggestionsMatchGolden) {
+  // Recorded from the configuration_at + satisfies() generator; any faster
+  // generator must reproduce the same candidates in the same order, so
+  // these constants never change with generation strategy.
+  apps::SystolicObjective objective;  // raw cross product ~2^33.9
+  const ParameterSpace& s = objective.space();
+
+  // One sampled Feistel pass: the valid candidates' ordinals and in-pass
+  // indices, in pass order.
+  const CandidateStream stream(objective.space_ptr(), /*seed=*/0x601DE7,
+                               StreamConfig{});
+  ASSERT_FALSE(stream.exhaustive());
+  const auto pass = stream.pass_candidates(/*pass=*/3);
+  ASSERT_EQ(pass.size(), 1801u);
+  const std::uint64_t head[][2] = {
+      {15204570965ULL, 34},  {13894533289ULL, 68},  {15238044635ULL, 76},
+      {14889657611ULL, 156}, {14109334608ULL, 177}, {15598707231ULL, 194}};
+  for (std::size_t i = 0; i < std::size(head); ++i) {
+    EXPECT_EQ(pass[i].ordinal, head[i][0]) << "candidate " << i;
+    EXPECT_EQ(pass[i].pass_index, head[i][1]) << "candidate " << i;
+  }
+  EXPECT_EQ(pass_digest(pass), 0xd5fb9b970aac7f85ULL);
+
+  // HiPerBOt's first 60 batch-1 suggestions: 20 random-design draws, then
+  // 40 streamed Ranking sweeps.
+  const std::vector<std::uint64_t> golden = {
+      14893482775ULL, 13496608332ULL, 15076400988ULL, 14829641955ULL,
+      14700118003ULL, 15583737033ULL, 14815085318ULL, 14450636395ULL,
+      15624980598ULL, 13273222838ULL, 15672256989ULL, 13858037870ULL,
+      13626390427ULL, 12359811764ULL, 14026970701ULL, 14049948024ULL,
+      14756887555ULL, 15035285119ULL, 13674473352ULL, 15168516446ULL,
+      14776947628ULL, 15598563706ULL, 15557482142ULL, 15277394234ULL,
+      15600139065ULL, 15403278905ULL, 12724794425ULL, 15572289049ULL,
+      15364461850ULL, 15181612665ULL, 15650689053ULL, 14003105215ULL,
+      15666447613ULL, 15649395051ULL, 14474806669ULL, 15259745375ULL,
+      15668603525ULL, 14473627949ULL, 15671308493ULL, 15666925765ULL,
+      15667819501ULL, 14101003293ULL, 15500160653ULL, 15659783527ULL,
+      15667072485ULL, 14420287685ULL, 14480725469ULL, 15650963383ULL,
+      15674640965ULL, 15424513015ULL, 14784443685ULL, 15672684653ULL,
+      14490420175ULL, 15675957489ULL, 15609607521ULL, 15259512805ULL,
+      14866766964ULL, 15593261681ULL, 15668614725ULL, 15649003483ULL};
+  core::HiPerBOt tuner(objective.space_ptr(), core::HiPerBOtConfig{},
+                       /*seed=*/7);
+  std::vector<std::uint64_t> ordinals;
+  for (std::size_t t = 0; t < golden.size(); ++t) {
+    const std::vector<Configuration> batch = tuner.suggest_batch(1);
+    ASSERT_EQ(batch.size(), 1u);
+    ordinals.push_back(s.ordinal_of(batch.front()));
+    tuner.observe(batch.front(), objective.evaluate(batch.front()));
+  }
+  EXPECT_EQ(ordinals, golden);
 }
 
 // ------------------------------------------- sentinel round trips
