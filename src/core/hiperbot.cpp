@@ -1,6 +1,7 @@
 #include "core/hiperbot.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "space/sampling.hpp"
 
@@ -141,13 +142,62 @@ void HiPerBOt::ensure_columns() {
   }
 }
 
+HiPerBOt::SweepClock HiPerBOt::start_sweep() const {
+  SweepClock clock;
+  clock.tracing = recorder_ != nullptr && recorder_->tracing();
+  clock.start = clock.tracing ? recorder_->now_ns() : 0;
+  clock.table_built = clock.start;
+  return clock;
+}
+
+void HiPerBOt::mark_table_built(SweepClock& clock) const {
+  if (clock.tracing) {
+    clock.table_built = recorder_->now_ns();
+  }
+}
+
+void HiPerBOt::finish_sweep(const SweepClock& clock, std::string_view mode,
+                            std::span<const obs::TraceAttr> source,
+                            std::size_t k) const {
+  if (recorder_ != nullptr && recorder_->metrics != nullptr) {
+    recorder_->metrics->counter("hiperbot.sweeps").add(1);
+  }
+  if (!clock.tracing) {
+    return;
+  }
+  const std::uint64_t sweep_end = recorder_->now_ns();
+  std::array<obs::TraceAttr, 10> attrs{};
+  std::size_t n = 0;
+  attrs[n++] = obs::TraceAttr::str("mode", mode);
+  attrs[n++] = obs::TraceAttr::str(
+      "simd", mode == "direct" ? "scalar" : simd_tier_name(active_simd_tier()));
+  for (const obs::TraceAttr& attr : source) {
+    attrs[n++] = attr;
+  }
+  attrs[n++] = obs::TraceAttr::uint("k", k);
+  attrs[n++] =
+      obs::TraceAttr::uint("excluded", evaluated_.size() + pending_.size());
+  attrs[n++] = obs::TraceAttr::uint(
+      "threads", sweep_pool_ != nullptr ? sweep_pool_->size() : 1);
+  attrs[n++] =
+      obs::TraceAttr::uint("table_build_ns", clock.table_built - clock.start);
+  attrs[n++] = obs::TraceAttr::uint("sweep_ns", sweep_end - clock.table_built);
+  attrs[n++] = obs::TraceAttr::uint(
+      "reused_columns", table_cache_ ? table_cache_->reused_columns() : 0);
+  recorder_->trace->emit({.name = "hiperbot.sweep",
+                          .id = recorder_->trace->next_id(),
+                          .parent = 0,
+                          .start_ns = clock.start,
+                          .end_ns = sweep_end,
+                          .attrs = std::span(attrs.data(), n)});
+}
+
 std::vector<SweepHit> HiPerBOt::ranked_topk(const TpeSurrogate& s,
                                             std::size_t k) {
-  const bool tracing = recorder_ != nullptr && recorder_->tracing();
-  const std::uint64_t sweep_start = tracing ? recorder_->now_ns() : 0;
-  std::uint64_t table_built = sweep_start;
+  SweepClock clock = start_sweep();
   std::vector<SweepHit> hits;
-  if (config_.acquisition == AcquisitionMode::kDirect) {
+  const bool direct = config_.acquisition == AcquisitionMode::kDirect;
+  if (direct) {
     const std::vector<space::Configuration>& pool = *pool_;
     hits = acquisition_topk(
         pool.size(), k, nullptr,
@@ -162,9 +212,7 @@ std::vector<SweepHit> HiPerBOt::ranked_topk(const TpeSurrogate& s,
         AcquisitionTable(s, *columns_,
                          table_cache_ ? &*table_cache_ : nullptr));
     const AcquisitionTable& table = *table_cache_;
-    if (tracing) {
-      table_built = recorder_->now_ns();
-    }
+    mark_table_built(clock);
     const PoolColumns& columns = *columns_;
     const std::span<const std::uint64_t> ordinals = columns.ordinals();
     const bool finite = !ordinals.empty();
@@ -181,56 +229,23 @@ std::vector<SweepHit> HiPerBOt::ranked_topk(const TpeSurrogate& s,
           return evaluated_.contains(ordinal) || pending_.contains(ordinal);
         });
   }
-  if (recorder_ != nullptr && recorder_->metrics != nullptr) {
-    recorder_->metrics->counter("hiperbot.sweeps").add(1);
-  }
-  if (tracing) {
-    const std::uint64_t sweep_end = recorder_->now_ns();
-    const obs::TraceAttr attrs[] = {
-        obs::TraceAttr::str("mode",
-                            config_.acquisition == AcquisitionMode::kDirect
-                                ? "direct"
-                                : "table"),
-        obs::TraceAttr::str("simd",
-                            config_.acquisition == AcquisitionMode::kDirect
-                                ? "scalar"
-                                : simd_tier_name(active_simd_tier())),
-        obs::TraceAttr::uint("pool", pool_->size()),
-        obs::TraceAttr::uint("k", k),
-        obs::TraceAttr::uint("excluded", evaluated_.size() + pending_.size()),
-        obs::TraceAttr::uint("threads",
-                             sweep_pool_ != nullptr ? sweep_pool_->size() : 1),
-        obs::TraceAttr::uint("table_build_ns", table_built - sweep_start),
-        obs::TraceAttr::uint("sweep_ns", sweep_end - table_built),
-        obs::TraceAttr::uint("reused_columns",
-                             table_cache_ ? table_cache_->reused_columns()
-                                          : 0),
-    };
-    recorder_->trace->emit({.name = "hiperbot.sweep",
-                            .id = recorder_->trace->next_id(),
-                            .parent = 0,
-                            .start_ns = sweep_start,
-                            .end_ns = sweep_end,
-                            .attrs = attrs});
-  }
+  const obs::TraceAttr source[] = {
+      obs::TraceAttr::uint("pool", pool_->size())};
+  finish_sweep(clock, direct ? "direct" : "table", source, k);
   return hits;
 }
 
 std::vector<StreamHit> HiPerBOt::streamed_topk(const TpeSurrogate& s,
                                                std::size_t k) {
-  const bool tracing = recorder_ != nullptr && recorder_->tracing();
-  const std::uint64_t sweep_start = tracing ? recorder_->now_ns() : 0;
-  std::uint64_t table_built = sweep_start;
+  SweepClock clock = start_sweep();
   // Space-keyed score table (streamed spaces are all-discrete): identical
   // doubles to the pooled table, diffed against the previous fit's columns.
   table_cache_.emplace(
       AcquisitionTable(s, *space_, table_cache_ ? &*table_cache_ : nullptr));
   const AcquisitionTable& table = *table_cache_;
-  if (tracing) {
-    table_built = recorder_->now_ns();
-  }
+  mark_table_built(clock);
   const std::uint64_t pass = stream_pass_++;
-  // Each chunk's freshly generated candidates are transposed into level
+  // Each chunk's valid candidates are generated straight into level
   // columns and scored through the same vectorized kernel as the pooled
   // sweep (bitwise-identical to score_config per candidate).
   std::vector<StreamHit> hits = acquisition_topk_stream_table(
@@ -239,33 +254,10 @@ std::vector<StreamHit> HiPerBOt::streamed_topk(const TpeSurrogate& s,
         return evaluated_.contains(candidate.ordinal) ||
                pending_.contains(candidate.ordinal);
       });
-  if (recorder_ != nullptr && recorder_->metrics != nullptr) {
-    recorder_->metrics->counter("hiperbot.sweeps").add(1);
-  }
-  if (tracing) {
-    const std::uint64_t sweep_end = recorder_->now_ns();
-    const obs::TraceAttr attrs[] = {
-        obs::TraceAttr::str("mode", "stream"),
-        obs::TraceAttr::str("simd", simd_tier_name(active_simd_tier())),
-        obs::TraceAttr::uint("pass", pass),
-        obs::TraceAttr::uint("pass_length", stream_->pass_length()),
-        obs::TraceAttr::uint("k", k),
-        obs::TraceAttr::uint("excluded", evaluated_.size() + pending_.size()),
-        obs::TraceAttr::uint("threads",
-                             sweep_pool_ != nullptr ? sweep_pool_->size() : 1),
-        obs::TraceAttr::uint("table_build_ns", table_built - sweep_start),
-        obs::TraceAttr::uint("sweep_ns", sweep_end - table_built),
-        obs::TraceAttr::uint("reused_columns",
-                             table_cache_ ? table_cache_->reused_columns()
-                                          : 0),
-    };
-    recorder_->trace->emit({.name = "hiperbot.sweep",
-                            .id = recorder_->trace->next_id(),
-                            .parent = 0,
-                            .start_ns = sweep_start,
-                            .end_ns = sweep_end,
-                            .attrs = attrs});
-  }
+  const obs::TraceAttr source[] = {
+      obs::TraceAttr::uint("pass", pass),
+      obs::TraceAttr::uint("pass_length", stream_->pass_length())};
+  finish_sweep(clock, "stream", source, k);
   return hits;
 }
 

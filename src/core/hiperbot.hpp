@@ -15,6 +15,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -182,6 +184,23 @@ class HiPerBOt final : public Tuner {
                                                   std::size_t k);
   /// Build the structure-of-arrays pool mirror on first use.
   void ensure_columns();
+
+  /// Clock marks of one Ranking sweep for its hiperbot.sweep span, read
+  /// only while tracing.
+  struct SweepClock {
+    bool tracing = false;
+    std::uint64_t start = 0;
+    std::uint64_t table_built = 0;
+  };
+  [[nodiscard]] SweepClock start_sweep() const;
+  /// Mark the score table built (table and stream sweeps).
+  void mark_table_built(SweepClock& clock) const;
+  /// Count the sweep and, when tracing, emit its span: mode and SIMD tier,
+  /// the source's attrs (pool size, or pass and pass length), then k,
+  /// exclusions, threads, table-build and sweep time, reused columns.
+  void finish_sweep(const SweepClock& clock, std::string_view mode,
+                    std::span<const obs::TraceAttr> source,
+                    std::size_t k) const;
   /// Drop the first pending configuration with these values, if present.
   void erase_pending_config(const space::Configuration& config);
   /// Export the internals of one surrogate fit (good/bad split sizes, KDE

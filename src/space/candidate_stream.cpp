@@ -1,10 +1,63 @@
 #include "space/candidate_stream.hpp"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/rng.hpp"
 
 namespace hpb::space {
+namespace {
+
+/// Raw indices permuted ahead of validation (see chunk_columns).
+constexpr std::size_t kPermuteBlock = 256;
+
+}  // namespace
+
+CandidateStream::Candidate CandidateStream::ChunkColumns::candidate(
+    std::size_t t) const {
+  std::vector<double> values(columns_.size());
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    values[i] = static_cast<double>(columns_[i][t]);
+  }
+  return Candidate{Configuration(std::move(values)), pass_index_[t],
+                   ordinal_[t]};
+}
+
+void CandidateStream::ChunkColumns::reset(std::size_t num_params) {
+  size_ = 0;
+  if (columns_.size() != num_params) {
+    rows_ = 0;
+    levels_.clear();
+    columns_.assign(num_params, nullptr);
+  }
+}
+
+void CandidateStream::ChunkColumns::push(const std::uint32_t* levels,
+                                         std::uint64_t pass_index,
+                                         std::uint64_t ordinal) {
+  if (size_ == rows_) {
+    grow();
+  }
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    columns_[i][size_] = levels[i];
+  }
+  pass_index_[size_] = pass_index;
+  ordinal_[size_] = ordinal;
+  ++size_;
+}
+
+void CandidateStream::ChunkColumns::grow() {
+  const std::size_t rows = std::max<std::size_t>(2 * rows_, 64);
+  std::vector<std::uint32_t> levels(columns_.size() * rows);
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    std::copy_n(columns_[i], size_, levels.data() + i * rows);
+    columns_[i] = levels.data() + i * rows;
+  }
+  levels_ = std::move(levels);
+  pass_index_.resize(rows);
+  ordinal_.resize(rows);
+  rows_ = rows;
+}
 
 CandidateStream::CandidateStream(SpacePtr space, std::uint64_t seed,
                                  StreamConfig config)
@@ -68,20 +121,51 @@ std::uint64_t CandidateStream::permute(const FeistelKeys& keys,
   return v;
 }
 
-void CandidateStream::chunk_candidates(std::uint64_t pass, std::size_t chunk,
-                                       std::vector<Candidate>& out) const {
-  HPB_REQUIRE(chunk < num_chunks_, "chunk_candidates: chunk out of range");
-  out.clear();
+std::uint64_t CandidateStream::ordinal_at(std::uint64_t pass,
+                                          std::uint64_t raw) const {
+  HPB_REQUIRE(raw < pass_length_, "ordinal_at: raw index out of range");
+  return permute(keys_for(pass), raw);
+}
+
+void CandidateStream::chunk_columns(std::uint64_t pass, std::size_t chunk,
+                                    ChunkColumns& out) const {
+  HPB_REQUIRE(chunk < num_chunks_, "chunk_columns: chunk out of range");
+  const std::size_t num_params = space_->num_params();
+  out.reset(num_params);
   const FeistelKeys keys = keys_for(pass);
   const std::uint64_t begin = static_cast<std::uint64_t>(chunk) * config_.chunk;
   const std::uint64_t end = std::min<std::uint64_t>(
       begin + config_.chunk, pass_length_);
-  for (std::uint64_t raw = begin; raw < end; ++raw) {
-    const std::uint64_t ordinal = permute(keys, raw);
-    Configuration c = space_->configuration_at(ordinal);
-    if (space_->satisfies(c)) {
-      out.push_back(Candidate{std::move(c), raw, ordinal});
+  LevelBuffer buffer(num_params);
+  std::uint32_t* levels = buffer.data();
+  std::uint64_t ordinals[kPermuteBlock];
+  for (std::uint64_t block = begin; block < end; block += kPermuteBlock) {
+    // Permute a whole block before validating any of it: the Feistel rounds
+    // of neighbouring raw indices are independent, so this loop keeps
+    // several in flight, where interleaving them with the rules' hard to
+    // predict rejections would serialize them.
+    const std::size_t count =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kPermuteBlock,
+                                                         end - block));
+    for (std::size_t j = 0; j < count; ++j) {
+      ordinals[j] = permute(keys, block + j);
     }
+    for (std::size_t j = 0; j < count; ++j) {
+      if (space_->accepts_ordinal(ordinals[j], levels)) {
+        out.push(levels, block + j, ordinals[j]);
+      }
+    }
+  }
+}
+
+void CandidateStream::chunk_candidates(std::uint64_t pass, std::size_t chunk,
+                                       std::vector<Candidate>& out) const {
+  ChunkColumns block;
+  chunk_columns(pass, chunk, block);
+  out.clear();
+  out.reserve(block.size());
+  for (std::size_t t = 0; t < block.size(); ++t) {
+    out.push_back(block.candidate(t));
   }
 }
 
@@ -113,16 +197,13 @@ std::vector<Configuration> CandidateStream::sample_pool(
   std::unordered_set<std::uint64_t> seen;
   seen.reserve(k * 2);
   const std::uint64_t passes = exhaustive_ ? 1 : max_passes;
-  std::vector<Candidate> chunk;
+  ChunkColumns block;
   for (std::uint64_t pass = 0; pass < passes && out.size() < k; ++pass) {
     for (std::size_t ci = 0; ci < num_chunks_ && out.size() < k; ++ci) {
-      chunk_candidates(pass, ci, chunk);
-      for (auto& candidate : chunk) {
-        if (seen.insert(candidate.ordinal).second) {
-          out.push_back(std::move(candidate.config));
-          if (out.size() == k) {
-            break;
-          }
+      chunk_columns(pass, ci, block);
+      for (std::size_t t = 0; t < block.size() && out.size() < k; ++t) {
+        if (seen.insert(block.ordinal(t)).second) {
+          out.push_back(block.candidate(t).config);
         }
       }
     }

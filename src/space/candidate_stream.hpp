@@ -5,10 +5,12 @@
 // mapped through a bijection over [0, cross_product_size) — the identity for
 // small spaces (so a pass reproduces enumerate() in ordinal order, bitwise),
 // a seeded 4-round Feistel permutation with cycle-walking for huge ones (so
-// no ordinal repeats within a pass). Each raw index decodes to a
-// configuration which is emitted only if ParameterSpace::satisfies()
-// accepts it: every streamed candidate is canonical and constraint-clean by
-// construction.
+// no ordinal repeats within a pass). Each raw index's ordinal is checked on
+// levels by the space's compiled rules (ParameterSpace::accepts_ordinal,
+// equal to satisfies() of the decoded configuration) and only the survivors'
+// levels are written out, straight into per-parameter columns: every
+// streamed candidate is canonical and constraint-clean by construction, and
+// no Configuration exists for a rejected index.
 //
 // Determinism contract: chunk_candidates(pass, chunk) is a pure function of
 // (space, seed, pass, chunk) with a fixed chunk size, so generating a pass
@@ -53,6 +55,43 @@ class CandidateStream {
     std::uint64_t ordinal = 0;
   };
 
+  /// One chunk's valid candidates in column layout, written straight by
+  /// chunk_columns(): columns()[i][t] is candidate t's level of parameter i
+  /// (the layout AcquisitionTable::score_block_cols consumes), next to each
+  /// candidate's pass index and ordinal. Reuse one block across chunks: its
+  /// columns grow with the largest chunk seen and are kept.
+  class ChunkColumns {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] const std::uint32_t* const* columns() const noexcept {
+      return columns_.data();
+    }
+    [[nodiscard]] std::uint64_t pass_index(std::size_t t) const noexcept {
+      return pass_index_[t];
+    }
+    [[nodiscard]] std::uint64_t ordinal(std::size_t t) const noexcept {
+      return ordinal_[t];
+    }
+    /// Candidate t, with its Configuration built.
+    [[nodiscard]] Candidate candidate(std::size_t t) const;
+
+   private:
+    friend class CandidateStream;
+    /// Empty the block for candidates of `num_params` parameters.
+    void reset(std::size_t num_params);
+    void push(const std::uint32_t* levels, std::uint64_t pass_index,
+              std::uint64_t ordinal);
+    /// Double the rows of every column, keeping the candidates held.
+    void grow();
+
+    std::size_t size_ = 0;
+    std::size_t rows_ = 0;                // capacity of each column
+    std::vector<std::uint32_t> levels_;   // column i at offset i * rows_
+    std::vector<std::uint32_t*> columns_;  // into levels_
+    std::vector<std::uint64_t> pass_index_;
+    std::vector<std::uint64_t> ordinal_;
+  };
+
   /// The space must be finite and its cross product must fit in 64 bits
   /// (cross_product_size() throws SpaceTooLargeError otherwise).
   CandidateStream(SpacePtr space, std::uint64_t seed, StreamConfig config = {});
@@ -76,8 +115,17 @@ class CandidateStream {
   /// Number of fixed-size chunks a pass is split into.
   [[nodiscard]] std::size_t num_chunks() const noexcept { return num_chunks_; }
 
-  /// Valid candidates of one chunk of one pass, in raw-index order.
-  /// Pure in (space, seed, pass, chunk): thread-count independent.
+  /// Cross-product ordinal visited at raw position `raw` of `pass`.
+  [[nodiscard]] std::uint64_t ordinal_at(std::uint64_t pass,
+                                         std::uint64_t raw) const;
+
+  /// Valid candidates of one chunk of one pass, in raw-index order, as
+  /// level columns. Pure in (space, seed, pass, chunk): thread-count
+  /// independent.
+  void chunk_columns(std::uint64_t pass, std::size_t chunk,
+                     ChunkColumns& out) const;
+
+  /// The same candidates with their Configurations built.
   void chunk_candidates(std::uint64_t pass, std::size_t chunk,
                         std::vector<Candidate>& out) const;
 

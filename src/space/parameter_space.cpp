@@ -11,8 +11,8 @@ ParameterSpace& ParameterSpace::add(Parameter p) {
     HPB_REQUIRE(existing.name() != p.name(),
                 "add: duplicate parameter name '" + p.name() + "'");
   }
+  level_rules_.add_parameter(p.is_discrete() ? p.num_levels() : 0);
   params_.push_back(std::move(p));
-  rules_.emplace_back(std::nullopt);
   return *this;
 }
 
@@ -29,7 +29,7 @@ ParameterSpace& ParameterSpace::add_conditional_levels(
               "add_conditional: parameter '" + p.name() +
                   "' would be active under every value of '" + parent + "'");
   add(std::move(p));
-  rules_.back() = ConditionalRule{parent_index, std::move(active_at)};
+  level_rules_.add_conditional(params_.size() - 1, parent_index, active_at);
   has_conditionals_ = true;
   return *this;
 }
@@ -95,16 +95,20 @@ ParameterSpace& ParameterSpace::add_divisibility(const std::string& divisor,
   HPB_REQUIRE(a != b, "add_divisibility: parameter divides itself");
   HPB_REQUIRE(params_[a].is_discrete() && params_[b].is_discrete(),
               "add_divisibility: both parameters must be discrete");
-  return add_constraint(
-      [a, b](const ParameterSpace& s, const Configuration& c) {
-        if (!s.is_active(c, a) || !s.is_active(c, b)) {
-          return true;  // vacuous when either side is switched off
-        }
-        const double da = s.param(a).level_value(c.level(a));
-        const double db = s.param(b).level_value(c.level(b));
-        return da != 0.0 && std::fmod(db, da) == 0.0;
-      },
-      divisor + " divides " + dividend);
+  // accept[la * levels(b) + lb]: level la's value divides level lb's.
+  const Parameter& pa = params_[a];
+  const Parameter& pb = params_[b];
+  std::vector<char> accept(pa.num_levels() * pb.num_levels(), 0);
+  for (std::size_t la = 0; la < pa.num_levels(); ++la) {
+    const double da = pa.level_value(la);
+    for (std::size_t lb = 0; lb < pb.num_levels(); ++lb) {
+      accept[la * pb.num_levels() + lb] =
+          da != 0.0 && std::fmod(pb.level_value(lb), da) == 0.0 ? 1 : 0;
+    }
+  }
+  level_rules_.add_divisibility(a, b, std::move(accept));
+  constraint_descriptions_.push_back(divisor + " divides " + dividend);
+  return *this;
 }
 
 ParameterSpace& ParameterSpace::add_constraint(Constraint c,
@@ -189,29 +193,32 @@ Configuration ParameterSpace::configuration_at(std::uint64_t ordinal) const {
   return Configuration(std::move(values));
 }
 
+Configuration ParameterSpace::configuration_from_levels(
+    const std::uint32_t* levels) const {
+  return Configuration(std::vector<double>(levels, levels + params_.size()));
+}
+
 bool ParameterSpace::is_conditional(std::size_t i) const {
   HPB_REQUIRE(i < params_.size(), "is_conditional: index out of range");
-  return rules_[i].has_value();
+  return level_rules_.parent(i) != LevelRules::kNoParent;
 }
 
 std::size_t ParameterSpace::parent_of(std::size_t i) const {
-  HPB_REQUIRE(i < params_.size(), "parent_of: index out of range");
-  HPB_REQUIRE(rules_[i].has_value(),
+  HPB_REQUIRE(is_conditional(i),
               "parent_of: '" + params_[i].name() + "' is unconditional");
-  return rules_[i]->parent;
+  return level_rules_.parent(i);
 }
 
 bool ParameterSpace::is_active(const Configuration& c, std::size_t i) const {
   HPB_REQUIRE(i < params_.size(), "is_active: index out of range");
   // Walk the ancestor chain (parents always precede children, so this
   // terminates in at most num_params steps).
-  while (rules_[i].has_value()) {
-    const ConditionalRule& r = *rules_[i];
-    const std::size_t level = c.level(r.parent);
-    if (level >= r.active_at.size() || r.active_at[level] == 0) {
+  for (std::size_t parent = level_rules_.parent(i);
+       parent != LevelRules::kNoParent; parent = level_rules_.parent(i)) {
+    if (!level_rules_.activated_by(i, c.level(parent))) {
       return false;
     }
-    i = r.parent;
+    i = parent;
   }
   return true;
 }
@@ -227,8 +234,7 @@ bool ParameterSpace::is_canonical(const Configuration& c) const {
   }
   HPB_REQUIRE(c.size() == params_.size(), "is_canonical: size mismatch");
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (rules_[i].has_value() && !is_active(c, i) &&
-        c[i] != sentinel_value(i)) {
+    if (is_conditional(i) && !is_active(c, i) && c[i] != sentinel_value(i)) {
       return false;
     }
   }
@@ -243,7 +249,7 @@ Configuration ParameterSpace::canonicalize(Configuration c) const {
   // Index order: a parent forced to its sentinel deactivates its children
   // before they are visited, so the whole subtree collapses in one pass.
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (rules_[i].has_value() && !is_active(c, i)) {
+    if (is_conditional(i) && !is_active(c, i)) {
       c[i] = sentinel_value(i);
     }
   }
@@ -251,9 +257,31 @@ Configuration ParameterSpace::canonicalize(Configuration c) const {
 }
 
 bool ParameterSpace::satisfies(const Configuration& c) const {
-  if (has_conditionals_ && !is_canonical(c)) {
+  if (c.size() != params_.size()) {
     return false;
   }
+  LevelBuffer buffer(params_.size());
+  std::uint32_t* levels = buffer.data();
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    const Parameter& p = params_[i];
+    const double v = c[i];
+    if (p.is_discrete()) {
+      // NaN fails the range test too.
+      if (!(v >= 0.0 && v < static_cast<double>(p.num_levels())) ||
+          v != std::floor(v)) {
+        return false;
+      }
+      levels[i] = static_cast<std::uint32_t>(v);
+    } else {
+      // Continuous parameters only meet the rules through the sentinel
+      // rule: pseudo-level 0 iff the value is the sentinel lo().
+      levels[i] = v == p.lo() ? 0 : 1;
+    }
+  }
+  return level_rules_.accepts_levels(levels) && satisfies_predicates(c);
+}
+
+bool ParameterSpace::satisfies_predicates(const Configuration& c) const {
   for (const auto& constraint : constraints_) {
     if (!constraint(*this, c)) {
       return false;
@@ -283,9 +311,14 @@ std::vector<Configuration> ParameterSpace::enumerate() const {
   const std::uint64_t total = cross_product_size();
   std::vector<Configuration> configs;
   configs.reserve(static_cast<std::size_t>(total));
+  LevelBuffer buffer(params_.size());
+  std::uint32_t* levels = buffer.data();
   for (std::uint64_t ord = 0; ord < total; ++ord) {
-    Configuration c = configuration_at(ord);
-    if (satisfies(c)) {
+    if (!level_rules_.accepts(ord, levels)) {
+      continue;
+    }
+    Configuration c = configuration_from_levels(levels);
+    if (satisfies_predicates(c)) {
       configs.push_back(std::move(c));
     }
   }

@@ -29,6 +29,7 @@
 #include "core/acquisition.hpp"
 #include "core/hiperbot.hpp"
 #include "space/candidate_stream.hpp"
+#include "stream_oracles.hpp"
 #include "test_util.hpp"
 
 namespace hpb::core {

@@ -3,8 +3,11 @@
 // one-hot encoding.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "space/parameter_space.hpp"
@@ -119,6 +122,35 @@ TEST(ParameterSpace, ConstraintFiltersEnumerationAndSampling) {
     EXPECT_TRUE(s->satisfies(s->sample_uniform(rng)));
   }
   EXPECT_EQ(s->constraint_descriptions().size(), 1u);
+}
+
+TEST(ParameterSpace, SatisfiesRejectsConfigurationsOutsideTheSpace) {
+  // Flat and unconstrained: every in-space configuration is valid, so any
+  // rejection below is the membership check alone.
+  ParameterSpace s;
+  s.add(Parameter::categorical("a", {"w", "x", "y", "z"}));
+  s.add(Parameter::integer("b", 0, 2));
+  EXPECT_TRUE(s.satisfies(Configuration({3, 2})));
+  EXPECT_FALSE(s.satisfies(Configuration({9, 0})));    // level out of range
+  EXPECT_FALSE(s.satisfies(Configuration({4, 0})));    // one past the end
+  EXPECT_FALSE(s.satisfies(Configuration({2.5, 0})));  // not an integer
+  EXPECT_FALSE(s.satisfies(Configuration({-1, 0})));   // negative
+  EXPECT_FALSE(s.satisfies(Configuration({std::nan(""), 0})));
+  EXPECT_FALSE(s.satisfies(Configuration({1})));        // too few values
+  EXPECT_FALSE(s.satisfies(Configuration({1, 1, 0})));  // too many values
+  EXPECT_FALSE(s.satisfies(Configuration{}));
+
+  // Continuous values are not range-checked; a conditional continuous
+  // parameter must still hold its sentinel lo() while inactive.
+  ParameterSpace m;
+  m.add(Parameter::categorical("mode", {"off", "on"}));
+  m.add_conditional(Parameter::continuous("t", 1.0, 2.0), "mode",
+                    std::vector<std::string>{"on"});
+  EXPECT_TRUE(m.satisfies(Configuration({1, 1.5})));
+  EXPECT_TRUE(m.satisfies(Configuration({1, 7.0})));
+  EXPECT_TRUE(m.satisfies(Configuration({0, 1.0})));
+  EXPECT_FALSE(m.satisfies(Configuration({0, 1.5})));
+  EXPECT_FALSE(m.satisfies(Configuration({2, 1.0})));
 }
 
 TEST(ParameterSpace, ImpossibleConstraintThrowsOnSampling) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -49,15 +50,32 @@ inline tabular::TabularObjective separable_dataset() {
       "separable", small_discrete_space(), separable_value);
 }
 
+/// What random_conditional_space registered, so a test can re-derive
+/// validity without going through ParameterSpace.
+struct RandomSpaceSpec {
+  std::vector<std::size_t> levels;  // level l of every parameter is 2^l
+  /// Per parameter: SIZE_MAX when unconditional, else the parent index.
+  std::vector<std::size_t> parent;
+  /// Per parameter: activating parent levels (empty when unconditional).
+  std::vector<std::vector<std::size_t>> active_levels;
+  /// (divisor, dividend) pairs, in registration order.
+  std::vector<std::pair<std::size_t, std::size_t>> divisibility;
+};
+
 /// A seeded random all-discrete space: 3-6 power-of-two numeric parameters,
 /// roughly half of the later ones conditional on a *proper* subset of an
 /// earlier parent's values, plus up to two divisibility constraints. Level 0
 /// always carries the value 1, so the all-sentinel configuration satisfies
 /// every divisibility constraint and the valid set is never empty. Shared by
-/// the space property suite and the SIMD dispatch-parity suite.
-inline space::SpacePtr random_conditional_space(std::uint64_t seed) {
+/// the space property suite and the SIMD dispatch-parity suite; `spec`, when
+/// given, receives the registered structure.
+inline space::SpacePtr random_conditional_space(
+    std::uint64_t seed, RandomSpaceSpec* spec = nullptr) {
   Rng rng(seed);
   auto s = std::make_shared<space::ParameterSpace>();
+  RandomSpaceSpec local;
+  RandomSpaceSpec& out = spec != nullptr ? *spec : local;
+  out = RandomSpaceSpec{};
   const std::size_t n = 3 + rng.index(4);
   std::vector<std::size_t> levels(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -69,6 +87,9 @@ inline space::SpacePtr random_conditional_space(std::uint64_t seed) {
     space::Parameter p =
         space::Parameter::categorical_numeric("p" + std::to_string(i), values);
     const bool conditional = i > 0 && rng.index(2) == 0;
+    out.levels.push_back(levels[i]);
+    out.parent.push_back(SIZE_MAX);
+    out.active_levels.emplace_back();
     if (conditional) {
       const std::size_t parent = rng.index(i);
       // A proper subset of the parent's levels (add_conditional rejects
@@ -84,7 +105,9 @@ inline space::SpacePtr random_conditional_space(std::uint64_t seed) {
       std::vector<double> active;
       for (std::size_t l = 0; l < count; ++l) {
         active.push_back(static_cast<double>(1ULL << order[l]));
+        out.active_levels.back().push_back(order[l]);
       }
+      out.parent.back() = parent;
       s->add_conditional(std::move(p), "p" + std::to_string(parent), active);
     } else {
       s->add(std::move(p));
@@ -96,6 +119,7 @@ inline space::SpacePtr random_conditional_space(std::uint64_t seed) {
     const std::size_t b = rng.index(n);
     if (a != b) {
       s->add_divisibility("p" + std::to_string(a), "p" + std::to_string(b));
+      out.divisibility.emplace_back(a, b);
     }
   }
   return s;
