@@ -89,38 +89,6 @@ bool AcquisitionTable::MarginalKey::matches(
          bits_equal(weights, other.weights);
 }
 
-template <class RebuildGood, class RebuildBad>
-void AcquisitionTable::fill_column(std::size_t i, std::size_t rows,
-                                   const AcquisitionTable* prev,
-                                   const RebuildGood& good,
-                                   const RebuildBad& bad) {
-  if (rows == 0) {
-    return;
-  }
-  // A column reused from `prev` was computed from a bitwise-identical
-  // marginal, so it is the same doubles either way — copy it straight into
-  // the flat table. The recompute path also writes in place: the old
-  // build-into-temporaries-then-append flow cost one allocation plus a
-  // second copy per column, which made the incremental path *slower* than
-  // a full build on all-discrete tables (refit speedup 0.91 at pool 2^20).
-  double* good_dst = log_good_.data() + offsets_[i];
-  double* bad_dst = log_bad_.data() + offsets_[i];
-  if (prev != nullptr && good_keys_[i].matches(prev->good_keys_[i])) {
-    std::memcpy(good_dst, prev->log_good_.data() + offsets_[i],
-                rows * sizeof(double));
-    ++reused_columns_;
-  } else {
-    good(std::span<double>(good_dst, rows));
-  }
-  if (prev != nullptr && bad_keys_[i].matches(prev->bad_keys_[i])) {
-    std::memcpy(bad_dst, prev->log_bad_.data() + offsets_[i],
-                rows * sizeof(double));
-    ++reused_columns_;
-  } else {
-    bad(std::span<double>(bad_dst, rows));
-  }
-}
-
 AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
                                    const PoolColumns& columns,
                                    const AcquisitionTable* prev) {
@@ -163,86 +131,65 @@ AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
   for (std::size_t i = 0; i < n_params; ++i) {
     good_keys_[i] = key_of(surrogate.good(), i);
     bad_keys_[i] = key_of(surrogate.bad(), i);
-    // Entries are computed by the exact marginal calls the direct path
-    // makes (log_pmf / log_pdf), so a table lookup reproduces the direct
-    // score bit for bit.
-    auto column = [&](const FactorizedDensity& density) {
-      return [&density, &columns, i](std::span<double> out) {
-        if (columns.is_continuous(i)) {
-          density.kernel(i).log_pdf_many(columns.distinct_values(i), out);
-        } else {
-          density.histogram(i).log_pmf_table(out);
-        }
-      };
+    const std::size_t rows = columns.table_size(i);
+    if (rows == 0) {
+      continue;
+    }
+    // A column reused from `prev` was computed from a bitwise-identical
+    // marginal, so it is the same doubles either way — copy it straight
+    // into the flat table. The recompute path also writes in place: the
+    // old build-into-temporaries-then-append flow cost one allocation plus
+    // a second copy per column, which made the incremental path *slower*
+    // than a full build on all-discrete tables (refit speedup 0.91 at pool
+    // 2^20). Entries are computed by the exact marginal calls the direct
+    // path makes (log_pmf / log_pdf), so a table lookup reproduces the
+    // direct score bit for bit.
+    const auto fill = [&](const FactorizedDensity& density,
+                          std::vector<double>& table, const MarginalKey& key,
+                          const MarginalKey* prev_key,
+                          const std::vector<double>* prev_table) {
+      double* dst = table.data() + offsets_[i];
+      if (prev_key != nullptr && key.matches(*prev_key)) {
+        std::memcpy(dst, prev_table->data() + offsets_[i],
+                    rows * sizeof(double));
+        ++reused_columns_;
+      } else if (columns.is_continuous(i)) {
+        density.kernel(i).log_pdf_many(columns.distinct_values(i),
+                                       std::span<double>(dst, rows));
+      } else {
+        density.histogram(i).log_pmf_table(std::span<double>(dst, rows));
+      }
     };
-    fill_column(i, columns.table_size(i), prev, column(surrogate.good()),
-                column(surrogate.bad()));
+    fill(surrogate.good(), log_good_, good_keys_[i],
+         prev != nullptr ? &prev->good_keys_[i] : nullptr,
+         prev != nullptr ? &prev->log_good_ : nullptr);
+    fill(surrogate.bad(), log_bad_, bad_keys_[i],
+         prev != nullptr ? &prev->bad_keys_[i] : nullptr,
+         prev != nullptr ? &prev->log_bad_ : nullptr);
   }
 }
 
-AcquisitionTable::AcquisitionTable(const TpeSurrogate& surrogate,
-                                   const space::ParameterSpace& space,
-                                   const AcquisitionTable* prev) {
-  HPB_REQUIRE(space.is_finite(),
-              "AcquisitionTable: space-keyed tables require an all-discrete "
-              "space (streamed sweeps only serve finite spaces)");
-  const std::size_t n_params = space.num_params();
-  HPB_REQUIRE(surrogate.good().num_params() == n_params,
-              "AcquisitionTable: parameter count mismatch");
-  offsets_.resize(n_params);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n_params; ++i) {
-    offsets_[i] = total;
-    total += space.param(i).num_levels();
-  }
-  if (prev != nullptr &&
-      (prev->offsets_ != offsets_ || prev->log_good_.size() != total)) {
-    prev = nullptr;
-  }
-  log_good_.resize(total);
-  log_bad_.resize(total);
-  good_keys_.resize(n_params);
-  bad_keys_.resize(n_params);
-  // All-discrete layout: every column is the histogram's log_pmf_table(),
-  // computed (or reused) exactly as in the pooled constructor's discrete
-  // branch, so streamed scores match pooled scores bit for bit.
-  auto key_of = [&](const FactorizedDensity& density, std::size_t i) {
-    MarginalKey key;
-    const stats::HistogramDensity& h = density.histogram(i);
-    key.smoothing = h.smoothing();
-    key.values.assign(h.counts().begin(), h.counts().end());
-    return key;
-  };
-  for (std::size_t i = 0; i < n_params; ++i) {
-    good_keys_[i] = key_of(surrogate.good(), i);
-    bad_keys_[i] = key_of(surrogate.bad(), i);
-    const auto column = [&](const FactorizedDensity& density) {
-      return [&density, i](std::span<double> out) {
-        density.histogram(i).log_pmf_table(out);
-      };
-    };
-    fill_column(i, space.param(i).num_levels(), prev,
-                column(surrogate.good()), column(surrogate.bad()));
-  }
-}
-
-void AcquisitionTable::score_block(const PoolColumns& columns,
-                                   std::size_t begin, std::size_t end,
+void AcquisitionTable::score_block(const ColumnBlock& cols,
+                                   std::size_t first, std::size_t count,
                                    double* out, SimdTier tier) const {
-  HPB_REQUIRE(columns.num_params() == offsets_.size(),
+  HPB_REQUIRE(cols.data.size() == offsets_.size(),
               "AcquisitionTable::score_block: parameter count mismatch");
-  HPB_REQUIRE(end <= columns.size(),
+  HPB_REQUIRE(first <= cols.rows && count <= cols.rows - first,
               "AcquisitionTable::score_block: range out of bounds");
   core::score_block(tier, log_good_.data(), log_bad_.data(), offsets_.data(),
-                    columns.column_data().data(), offsets_.size(), begin, end,
+                    cols.data.data(), offsets_.size(), first, first + count,
                     out);
 }
 
-void AcquisitionTable::score_block_cols(const std::uint32_t* const* cols,
-                                        std::size_t count, double* out,
-                                        SimdTier tier) const {
-  core::score_block(tier, log_good_.data(), log_bad_.data(), offsets_.data(),
-                    cols, offsets_.size(), 0, count, out);
+SweepChunk StreamSource::chunk(std::size_t c) const {
+  thread_local space::CandidateStream::ChunkColumns block;
+  stream.chunk_columns(pass, c, block);
+  return {{std::span(block.columns(), stream.space().num_params()),
+           block.size()},
+          0,
+          block.size(),
+          block.pass_index_data(),
+          block.ordinal_data()};
 }
 
 }  // namespace hpb::core

@@ -23,16 +23,18 @@
 //     bitwise-identical to the direct path's. score_block() runs the same
 //     gathers through the runtime-dispatched SIMD kernel (core/simd.hpp):
 //     lane-per-candidate, so vectorized scores are also bitwise-identical.
-//   - acquisition_topk / acquisition_topk_table: deterministic chunked
-//     argmax/top-k over the shared common::ThreadPool. Chunk boundaries
-//     are fixed (independent of worker count) and ties break toward the
-//     lowest candidate index, so the result is identical for any thread
-//     count. The table variants are streaming: each chunk scores through
-//     score_block() into a chunk-local buffer of at most kSweepChunk
-//     doubles and reduces immediately to a sorted list of at most k hits —
-//     a full pool-sized score vector is never materialized, so the sweep's
+//   - sweep_topk: the one deterministic chunked top-k sweep over the shared
+//     common::ThreadPool. A source yields fixed chunks of candidates in
+//     column layout — kSweepChunk-row slices of PoolColumns (PoolSource),
+//     or the valid candidates of one CandidateStream pass chunk
+//     (StreamSource) — each chunk is scored through score_block() into a
+//     chunk-local buffer and reduced at once to a sorted list of at most k
+//     SweepHits, and the chunk lists are merged serially in chunk order.
+//     Chunk boundaries never depend on the worker count and ties break
+//     toward the lowest candidate index, so the result is identical for
+//     any thread count; a full score vector is never materialized, so the
 //     working set is O(threads * kSweepChunk + num_chunks * k) regardless
-//     of pool size.
+//     of how many candidates the source holds.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +51,16 @@
 
 namespace hpb::core {
 
+/// Candidates in column layout: data[i][r] is candidate r's table row for
+/// parameter i, for every row r < rows (the layout score_block consumes).
+struct ColumnBlock {
+  std::span<const std::uint32_t* const> data;
+  std::size_t rows = 0;
+};
+
 /// Structure-of-arrays mirror of a candidate pool (built once per pool).
+/// With an empty pool it is just the space's table layout, which is what a
+/// streamed sweep's AcquisitionTable is built over.
 class PoolColumns {
  public:
   PoolColumns(const space::ParameterSpace& space,
@@ -67,10 +78,9 @@ class PoolColumns {
     return columns_[param];
   }
 
-  /// Per-parameter column base pointers (the layout score_block consumes).
-  [[nodiscard]] std::span<const std::uint32_t* const> column_data()
-      const noexcept {
-    return column_ptrs_;
+  /// Every column, as one block of size() rows.
+  [[nodiscard]] ColumnBlock block() const noexcept {
+    return {column_ptrs_, size_};
   }
 
   /// Sorted distinct values of a continuous parameter's column (empty for
@@ -126,15 +136,6 @@ class AcquisitionTable {
   AcquisitionTable(const TpeSurrogate& surrogate, const PoolColumns& columns,
                    const AcquisitionTable* prev = nullptr);
 
-  /// Pool-independent table over a finite (all-discrete) space, for
-  /// streamed sweeps whose candidates are generated on the fly and never
-  /// live in a pool. Each column is the histogram's log_pmf_table() — the
-  /// exact doubles the pooled constructor stores for a discrete parameter —
-  /// so a streamed score equals the pooled (and direct) score bit for bit.
-  AcquisitionTable(const TpeSurrogate& surrogate,
-                   const space::ParameterSpace& space,
-                   const AcquisitionTable* prev = nullptr);
-
   [[nodiscard]] std::size_t num_params() const noexcept {
     return offsets_.size();
   }
@@ -154,34 +155,12 @@ class AcquisitionTable {
     return log_good - log_bad;
   }
 
-  /// Acquisition score of an arbitrary configuration, by level lookup (so
-  /// every parameter must be discrete — true for any table built by the
-  /// space constructor, and for pooled tables over all-discrete spaces).
-  /// Accumulates per-parameter terms in the same order as score().
-  [[nodiscard]] double score_config(const space::Configuration& c) const {
-    double log_good = 0.0;
-    double log_bad = 0.0;
-    for (std::size_t i = 0; i < offsets_.size(); ++i) {
-      const std::size_t at = offsets_[i] + c.level(i);
-      log_good += log_good_[at];
-      log_bad += log_bad_[at];
-    }
-    return log_good - log_bad;
-  }
-
-  /// Scores pool candidates [begin, end) into out[0 .. end-begin) through
-  /// the runtime-dispatched SIMD kernel. Every tier's output is
+  /// Scores rows [first, first + count) of `cols` into out[0 .. count)
+  /// through the runtime-dispatched SIMD kernel. Every tier's output is
   /// bitwise-identical to calling score() per candidate.
-  void score_block(const PoolColumns& columns, std::size_t begin,
-                   std::size_t end, double* out,
+  void score_block(const ColumnBlock& cols, std::size_t first,
+                   std::size_t count, double* out,
                    SimdTier tier = active_simd_tier()) const;
-
-  /// Same kernel over caller-built index columns (cols[i][0 .. count) for
-  /// each of num_params() parameters) — the streamed sweep scores each
-  /// chunk's freshly generated candidates through this.
-  void score_block_cols(const std::uint32_t* const* cols, std::size_t count,
-                        double* out,
-                        SimdTier tier = active_simd_tier()) const;
 
   /// Per-side columns copied from `prev` instead of recomputed (0..2 per
   /// parameter). Exposed for the sweep span and the incremental bench.
@@ -203,14 +182,6 @@ class AcquisitionTable {
     [[nodiscard]] bool matches(const MarginalKey& other) const noexcept;
   };
 
-  /// Fill parameter i's rows of both flat tables in place: memcpy from
-  /// `prev` when the marginal key is unchanged, recompute via `rebuild`
-  /// otherwise. Shared by both constructors.
-  template <class RebuildGood, class RebuildBad>
-  void fill_column(std::size_t i, std::size_t rows,
-                   const AcquisitionTable* prev, const RebuildGood& good,
-                   const RebuildBad& bad);
-
   std::vector<std::size_t> offsets_;  // per-param start into the flat tables
   std::vector<double> log_good_;
   std::vector<double> log_bad_;
@@ -219,14 +190,20 @@ class AcquisitionTable {
   std::size_t reused_columns_ = 0;
 };
 
-/// One sweep result: a candidate index and its acquisition score.
+/// One sweep result. `index` is the candidate's position in its source —
+/// the pool index, or the raw in-pass index of a streamed candidate — and
+/// the deterministic tie-break key; `ordinal` is its cross-product ordinal
+/// (the dedup identity; 0 for pools over non-finite spaces).
 struct SweepHit {
-  std::size_t index = 0;
+  std::uint64_t index = 0;
   double score = 0.0;
+  std::uint64_t ordinal = 0;
 };
 
 /// Strict ordering of the sweep: descending score, ties broken by lowest
-/// candidate index (indices are unique, so this is a total order).
+/// candidate index (indices are unique within a source, so this is a total
+/// order). On a flat unconstrained space swept exhaustively, in-pass indices
+/// equal pool indices, so pooled and streamed sweeps pick the same winners.
 [[nodiscard]] inline bool sweep_better(const SweepHit& a,
                                        const SweepHit& b) noexcept {
   return a.score > b.score || (a.score == b.score && a.index < b.index);
@@ -237,21 +214,58 @@ struct SweepHit {
 /// final reduction — are identical for any thread count.
 inline constexpr std::size_t kSweepChunk = 8192;
 
+/// One chunk of a sweep source: rows [first, first + count) of `cols`. Row
+/// r's tie-break index is index[r] (r itself when null) and its ordinal is
+/// ordinal[r] (0 when null).
+struct SweepChunk {
+  ColumnBlock cols;
+  std::size_t first = 0;
+  std::size_t count = 0;
+  const std::uint64_t* index = nullptr;
+  const std::uint64_t* ordinal = nullptr;
+};
+
+/// Sweep source over a column-mirrored pool: kSweepChunk-row slices.
+struct PoolSource {
+  const PoolColumns& columns;
+
+  [[nodiscard]] std::size_t num_chunks() const noexcept {
+    return (columns.size() + kSweepChunk - 1) / kSweepChunk;
+  }
+  [[nodiscard]] SweepChunk chunk(std::size_t c) const noexcept {
+    const std::size_t first = c * kSweepChunk;
+    return {columns.block(), first,
+            std::min(kSweepChunk, columns.size() - first), nullptr,
+            columns.ordinals().empty() ? nullptr : columns.ordinals().data()};
+  }
+};
+
+/// Sweep source over one pass of a CandidateStream: each chunk's valid
+/// candidates, generated straight into level columns (streamed spaces are
+/// all-discrete). The chunk lives in a per-thread block, valid until the
+/// calling thread asks for its next chunk.
+struct StreamSource {
+  const space::CandidateStream& stream;
+  std::uint64_t pass = 0;
+
+  [[nodiscard]] std::size_t num_chunks() const noexcept {
+    return stream.num_chunks();
+  }
+  [[nodiscard]] SweepChunk chunk(std::size_t c) const;
+};
+
 namespace detail {
 
-/// Insert `hit` into the sorted bounded list `best` (capacity k) under the
-/// strict total order `better`. The caller pre-checks the reject case
-/// (full list, hit not better than the tail) so StreamHit insertions can
-/// defer building their Configuration until the hit is known to survive.
-template <class Hit, class Better>
-inline void bounded_sorted_insert(std::vector<Hit>& best, Hit&& hit,
-                                  std::size_t k, const Better& better) {
+/// Insert `hit` into the sorted bounded list `best` (capacity k). The
+/// caller pre-checks the reject case (full list, hit not better than the
+/// tail).
+inline void bounded_sorted_insert(std::vector<SweepHit>& best,
+                                  const SweepHit& hit, std::size_t k) {
   std::size_t pos = best.size();
-  while (pos > 0 && better(hit, best[pos - 1])) {
+  while (pos > 0 && sweep_better(hit, best[pos - 1])) {
     --pos;
   }
-  best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos),
-              std::move(hit));
+  best.insert(best.begin() + static_cast<std::ptrdiff_t>(pos), hit);
   if (best.size() > k) {
     best.pop_back();
   }
@@ -263,186 +277,76 @@ inline void bounded_sorted_insert(std::vector<Hit>& best, Hit&& hit,
 /// concatenates, keeping the reduction's working set at k+1 hits. Called
 /// serially in chunk order, so the result is scheduling-independent and
 /// equals a global sort of all chunk hits truncated to k.
-template <class Hit, class Better>
-inline void merge_sorted_bounded(std::vector<Hit>& merged,
-                                 std::vector<Hit>& chunk, std::size_t k,
-                                 const Better& better) {
-  for (Hit& hit : chunk) {
-    if (merged.size() == k && !better(hit, merged.back())) {
+inline void merge_sorted_bounded(std::vector<SweepHit>& merged,
+                                 const std::vector<SweepHit>& chunk,
+                                 std::size_t k) {
+  for (const SweepHit& hit : chunk) {
+    if (merged.size() == k && !sweep_better(hit, merged.back())) {
       break;
     }
-    bounded_sorted_insert(merged, std::move(hit), k, better);
+    bounded_sorted_insert(merged, hit, k);
   }
 }
 
 }  // namespace detail
 
-/// Deterministic chunked top-k sweep over candidates 0..n-1. `score(j)`
-/// must be a pure function of j; `excluded(j)` hides a candidate from the
-/// result. Chunks run on `pool` (serial when null or single-threaded); the
-/// per-chunk winners are reduced serially in chunk order under
-/// sweep_better, so the result is independent of scheduling. Returns at
-/// most k hits, best first; fewer when the unexcluded pool is smaller.
-/// This generic form scores through a per-candidate callback (the direct
-/// path's reference sweep); table sweeps use acquisition_topk_table.
-template <class ScoreFn, class ExcludedFn>
-[[nodiscard]] std::vector<SweepHit> acquisition_topk(std::size_t n,
-                                                     std::size_t k,
-                                                     ThreadPool* pool,
-                                                     const ScoreFn& score,
-                                                     const ExcludedFn& excluded) {
-  if (n == 0 || k == 0) {
-    return {};
-  }
-  const std::size_t num_chunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<SweepHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kSweepChunk;
-    const std::size_t end = std::min(begin + kSweepChunk, n);
-    std::vector<SweepHit>& best = chunk_best[chunk];
-    best.reserve(std::min(k, end - begin));
-    for (std::size_t j = begin; j < end; ++j) {
-      if (excluded(j)) {
-        continue;
-      }
-      const SweepHit hit{j, score(j)};
-      if (best.size() == k && !sweep_better(hit, best.back())) {
-        continue;
-      }
-      detail::bounded_sorted_insert(best, SweepHit{hit}, k, sweep_better);
-    }
-  });
-  std::vector<SweepHit> merged;
-  merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, sweep_better);
-  }
-  return merged;
-}
-
-/// Streaming table top-k over a column-mirrored pool: each chunk is scored
-/// in one score_block() call (vectorized under the active SIMD tier) into
-/// a chunk-local buffer, reduced to at most k hits immediately, and the
-/// buffer is reused for the next chunk — the full score vector never
-/// exists. Result is bitwise-identical to the generic acquisition_topk
-/// over table.score(), for any thread count and any SIMD tier.
-template <class ExcludedFn>
-[[nodiscard]] std::vector<SweepHit> acquisition_topk_table(
-    const AcquisitionTable& table, const PoolColumns& columns, std::size_t k,
+/// Deterministic chunked top-k sweep of `source` (PoolSource or
+/// StreamSource) under `table`. Each chunk is scored in one score_block()
+/// call (vectorized under `tier`) into a chunk-local buffer and reduced to
+/// at most k hits at once; `excluded(hit)` hides a candidate (typically
+/// testing hit.ordinal). Chunks run on `pool` (serial when null or
+/// single-threaded) and their lists are merged serially in chunk order
+/// under sweep_better, so the result is identical for any thread count and
+/// SIMD tier, and equals scoring every candidate with table.score().
+/// Returns at most k hits, best first; fewer when the source holds fewer
+/// unexcluded candidates.
+template <class Source, class ExcludedFn>
+[[nodiscard]] std::vector<SweepHit> sweep_topk(
+    const Source& source, const AcquisitionTable& table, std::size_t k,
     ThreadPool* pool, const ExcludedFn& excluded,
     SimdTier tier = active_simd_tier()) {
-  const std::size_t n = columns.size();
-  if (n == 0 || k == 0) {
-    return {};
-  }
-  const std::size_t num_chunks = (n + kSweepChunk - 1) / kSweepChunk;
-  std::vector<std::vector<SweepHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * kSweepChunk;
-    const std::size_t end = std::min(begin + kSweepChunk, n);
-    std::vector<double> scores(end - begin);
-    table.score_block(columns, begin, end, scores.data(), tier);
-    std::vector<SweepHit>& best = chunk_best[chunk];
-    best.reserve(std::min(k, end - begin));
-    for (std::size_t j = begin; j < end; ++j) {
-      // Cheap cut first: a hit enters iff it is unexcluded AND beats the
-      // tail, so testing the (almost always false) tail compare before the
-      // exclusion probe keeps the hot loop branch-predictable without
-      // changing the result.
-      const SweepHit hit{j, scores[j - begin]};
-      if (best.size() == k && !sweep_better(hit, best.back())) {
-        continue;
-      }
-      if (excluded(j)) {
-        continue;
-      }
-      detail::bounded_sorted_insert(best, SweepHit{hit}, k, sweep_better);
-    }
-  });
-  std::vector<SweepHit> merged;
-  merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, sweep_better);
-  }
-  return merged;
-}
-
-/// One streamed-sweep result. Streamed candidates have no pool to index
-/// back into, so the hit carries the configuration itself, plus its raw
-/// in-pass position (the deterministic tie-break key) and its cross-product
-/// ordinal (the dedup identity).
-struct StreamHit {
-  space::Configuration config;
-  double score = 0.0;
-  std::uint64_t pass_index = 0;
-  std::uint64_t ordinal = 0;
-};
-
-/// Strict ordering of a streamed sweep: descending score, ties broken by
-/// lowest in-pass index (unique within a pass, so this is a total order).
-/// On a flat unconstrained space swept exhaustively, pass indices equal
-/// pool indices, so this matches sweep_better's tie-break exactly.
-[[nodiscard]] inline bool stream_better(const StreamHit& a,
-                                        const StreamHit& b) noexcept {
-  return a.score > b.score ||
-         (a.score == b.score && a.pass_index < b.pass_index);
-}
-
-/// Deterministic chunked top-k sweep over one pass of a CandidateStream,
-/// through the vectorized table kernel. Each chunk's valid candidates are
-/// generated straight into level columns (streamed spaces are
-/// all-discrete) and scored in one score_block_cols() call; chunk-local
-/// top-k lists are merged serially in chunk order under stream_better, so
-/// the result is identical for any thread count and SIMD tier, and equals
-/// scoring every candidate's Configuration with table.score_config(). A
-/// candidate's Configuration is built only once its score would enter the
-/// chunk's top-k: `excluded(candidate)` runs on those candidates alone
-/// (typically testing the ordinal). The column block is reused per thread,
-/// so the per-chunk working set stays O(chunk * num_params) without
-/// reallocation. With stream.config().chunk == kSweepChunk and an
-/// exhaustive identity pass over a flat unconstrained space, the winners
-/// are bitwise-identical to the pooled sweep's.
-template <class ExcludedFn>
-[[nodiscard]] std::vector<StreamHit> acquisition_topk_stream_table(
-    const space::CandidateStream& stream, std::uint64_t pass, std::size_t k,
-    ThreadPool* pool, const AcquisitionTable& table,
-    const ExcludedFn& excluded, SimdTier tier = active_simd_tier()) {
-  const std::size_t num_chunks = stream.num_chunks();
+  const std::size_t num_chunks = source.num_chunks();
   if (num_chunks == 0 || k == 0) {
     return {};
   }
-  std::vector<std::vector<StreamHit>> chunk_best(num_chunks);
-  parallel_for_indexed(pool, num_chunks, [&](std::size_t chunk) {
-    thread_local space::CandidateStream::ChunkColumns block;
-    stream.chunk_columns(pass, chunk, block);
-    const std::size_t m = block.size();
-    std::vector<StreamHit>& best = chunk_best[chunk];
-    if (m == 0) {
+  std::vector<std::vector<SweepHit>> chunk_best(num_chunks);
+  parallel_for_indexed(pool, num_chunks, [&](std::size_t c) {
+    const SweepChunk chunk = source.chunk(c);
+    if (chunk.count == 0) {
       return;
     }
-    std::vector<double> scores(m);
-    table.score_block_cols(block.columns(), m, scores.data(), tier);
-    best.reserve(std::min(k, m));
-    for (std::size_t t = 0; t < m; ++t) {
-      // Same cheap-cut ordering as acquisition_topk_table: tail compare
-      // before the exclusion probe, identical result either way.
-      StreamHit hit{space::Configuration{}, scores[t], block.pass_index(t),
-                    block.ordinal(t)};
-      if (best.size() == k && !stream_better(hit, best.back())) {
+    std::vector<double> scores(chunk.count);
+    table.score_block(chunk.cols, chunk.first, chunk.count, scores.data(),
+                      tier);
+    std::vector<SweepHit>& best = chunk_best[c];
+    best.reserve(std::min(k, chunk.count));
+    for (std::size_t t = 0; t < chunk.count; ++t) {
+      // Score-only cut first: once the list is full, almost every candidate
+      // scores below its tail, and rejecting those without touching the
+      // index or ordinal columns keeps the hot loop cheap. Equal scores go
+      // on to the full compare (the index breaks the tie), then the
+      // exclusion probe — the result is the same in any order.
+      const double score = scores[t];
+      if (best.size() == k && score < best.back().score) {
         continue;
       }
-      space::CandidateStream::Candidate candidate = block.candidate(t);
-      if (excluded(candidate)) {
+      const std::size_t row = chunk.first + t;
+      const SweepHit hit{chunk.index != nullptr ? chunk.index[row] : row,
+                         score,
+                         chunk.ordinal != nullptr ? chunk.ordinal[row] : 0};
+      if (best.size() == k && !sweep_better(hit, best.back())) {
         continue;
       }
-      hit.config = std::move(candidate.config);
-      detail::bounded_sorted_insert(best, std::move(hit), k, stream_better);
+      if (excluded(hit)) {
+        continue;
+      }
+      detail::bounded_sorted_insert(best, hit, k);
     }
   });
-  std::vector<StreamHit> merged;
+  std::vector<SweepHit> merged;
   merged.reserve(k + 1);
-  for (auto& best : chunk_best) {
-    detail::merge_sorted_bounded(merged, best, k, stream_better);
+  for (const auto& best : chunk_best) {
+    detail::merge_sorted_bounded(merged, best, k);
   }
   return merged;
 }

@@ -33,17 +33,6 @@ enum class SelectionStrategy {
   kProposal,  // sample candidates from pg(x)
 };
 
-enum class AcquisitionMode {
-  /// Precomputed per-fit score tables swept over the structure-of-arrays
-  /// pool mirror (core/acquisition.hpp); parallel when a sweep pool is
-  /// installed. The default — scores, and therefore suggestions, are
-  /// bitwise-identical to kDirect at any thread count.
-  kTable,
-  /// Per-candidate TpeSurrogate::acquisition calls, always serial. The
-  /// pre-table reference path, kept as a test/bench hook.
-  kDirect,
-};
-
 enum class InitialDesign {
   kUniform,         // the paper's protocol: i.i.d. uniform samples
   kLatinHypercube,  // space-filling alternative (ablation)
@@ -74,10 +63,6 @@ struct HiPerBOtConfig {
   std::size_t proposal_candidates = 64;
   /// Density estimation knobs (histogram smoothing, KDE bandwidth).
   DensityConfig density;
-  /// How Ranking sweeps score the candidate pool (kTable = fast path;
-  /// kDirect = per-candidate reference evaluation). Suggestions are
-  /// identical either way.
-  AcquisitionMode acquisition = AcquisitionMode::kTable;
   /// Where Ranking sweeps draw their candidates from: a materialized pool
   /// or a streamed CandidateStream over the space (Proposal ignores this).
   SweepSource sweep_source = SweepSource::kAuto;
@@ -171,19 +156,12 @@ class HiPerBOt final : public Tuner {
   [[nodiscard]] space::Configuration initial_suggestion();
   [[nodiscard]] space::Configuration suggest_ranking(const TpeSurrogate& s);
   [[nodiscard]] space::Configuration suggest_proposal(const TpeSurrogate& s);
-  /// The streamed Ranking sweep: top-k candidates of the next stream pass
-  /// by acquisition score, best first, ties toward the lowest in-pass
-  /// index. Scores come from a space-keyed AcquisitionTable, so they match
-  /// the pooled table (and direct) path bit for bit.
-  [[nodiscard]] std::vector<StreamHit> streamed_topk(const TpeSurrogate& s,
-                                                     std::size_t k);
-  /// The Ranking sweep: top-k unexcluded pool candidates by acquisition
-  /// score, best first, ties toward the lowest pool index. Dispatches on
-  /// config_.acquisition and emits the hiperbot.sweep span when tracing.
-  [[nodiscard]] std::vector<SweepHit> ranked_topk(const TpeSurrogate& s,
-                                                  std::size_t k);
-  /// Build the structure-of-arrays pool mirror on first use.
-  void ensure_columns();
+  /// The Ranking sweep: the top-k unexcluded candidates of the pool, or of
+  /// the next stream pass, by acquisition score, best first, ties toward
+  /// the lowest pool (or in-pass) index. Emits the hiperbot.sweep span
+  /// when tracing.
+  [[nodiscard]] std::vector<space::Configuration> ranked_topk(
+      const TpeSurrogate& s, std::size_t k);
 
   /// Clock marks of one Ranking sweep for its hiperbot.sweep span, read
   /// only while tracing.
@@ -193,7 +171,7 @@ class HiPerBOt final : public Tuner {
     std::uint64_t table_built = 0;
   };
   [[nodiscard]] SweepClock start_sweep() const;
-  /// Mark the score table built (table and stream sweeps).
+  /// Mark the score table built.
   void mark_table_built(SweepClock& clock) const;
   /// Count the sweep and, when tracing, emit its span: mode and SIMD tier,
   /// the source's attrs (pool size, or pass and pass length), then k,
@@ -214,7 +192,9 @@ class HiPerBOt final : public Tuner {
   Rng rng_;
   History history_;
   std::shared_ptr<const std::vector<space::Configuration>> pool_;
-  std::optional<PoolColumns> columns_;  // SoA pool mirror, built lazily
+  /// SoA pool mirror, built lazily; for a streamed sweep, the space's
+  /// table layout with no rows.
+  std::optional<PoolColumns> columns_;
   /// Streamed candidate source for Ranking on spaces with no pool (or with
   /// sweep_source == kStreamed). Mutually exclusive with pool_.
   std::optional<space::CandidateStream> stream_;

@@ -57,7 +57,7 @@ class CandidateStream {
 
   /// One chunk's valid candidates in column layout, written straight by
   /// chunk_columns(): columns()[i][t] is candidate t's level of parameter i
-  /// (the layout AcquisitionTable::score_block_cols consumes), next to each
+  /// (the layout AcquisitionTable::score_block consumes), next to each
   /// candidate's pass index and ordinal. Reuse one block across chunks: its
   /// columns grow with the largest chunk seen and are kept.
   class ChunkColumns {
@@ -71,6 +71,13 @@ class CandidateStream {
     }
     [[nodiscard]] std::uint64_t ordinal(std::size_t t) const noexcept {
       return ordinal_[t];
+    }
+    /// The pass indices and ordinals as columns of size() entries.
+    [[nodiscard]] const std::uint64_t* pass_index_data() const noexcept {
+      return pass_index_.data();
+    }
+    [[nodiscard]] const std::uint64_t* ordinal_data() const noexcept {
+      return ordinal_.data();
     }
     /// Candidate t, with its Configuration built.
     [[nodiscard]] Candidate candidate(std::size_t t) const;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "stats/quantile.hpp"
+#include "sweep_oracles.hpp"
 #include "test_util.hpp"
 
 namespace hpb::core {
@@ -119,60 +121,102 @@ TEST(Acquisition, TopkBreaksTiesTowardLowestIndex) {
                   .empty());
 }
 
-// ----------------------- tuner sweeps: thread-count and mode invariance
+// ------------------- tuner sweeps: thread-count invariance, direct argmax
+
+/// Top-k of the direct per-candidate scores, TpeSurrogate::acquisition on
+/// every pool configuration the tuner has not observed, under the tuner's
+/// current fit: what its table sweep must return.
+std::vector<SweepHit> direct_topk(const HiPerBOt& tuner,
+                                  const space::ParameterSpace& space,
+                                  const std::vector<Configuration>& pool,
+                                  const std::set<std::uint64_t>& observed,
+                                  std::size_t k) {
+  const TpeSurrogate s = tuner.fit_surrogate();
+  return acquisition_topk(
+      pool.size(), k, nullptr,
+      [&](std::size_t j) { return s.acquisition(pool[j]); },
+      [&](std::size_t j) {
+        return observed.contains(space.ordinal_of(pool[j]));
+      });
+}
 
 // One tuning run's observable outputs: the suggested ordinals and, once the
 // surrogate is live, the bit pattern of the exported best-acquisition gauge.
-std::vector<std::uint64_t> ranking_run(AcquisitionMode mode, int threads) {
+// Every fitted suggestion is also checked against the direct argmax.
+std::vector<std::uint64_t> ranking_run(int threads) {
   auto ds = testutil::separable_dataset();
+  const std::vector<Configuration> pool = ds.space_ptr()->enumerate();
   HiPerBOtConfig config;
   config.initial_samples = 8;
-  config.acquisition = mode;
   HiPerBOt tuner(ds.space_ptr(), config, 99);
   obs::MetricsRegistry metrics;
   const obs::Recorder rec{.metrics = &metrics};
   tuner.set_recorder(&rec);
-  std::optional<ThreadPool> pool;
+  std::optional<ThreadPool> workers;
   if (threads >= 0) {
-    pool.emplace(static_cast<std::size_t>(threads));
-    tuner.set_sweep_pool(&*pool);
+    workers.emplace(static_cast<std::size_t>(threads));
+    tuner.set_sweep_pool(&*workers);
   }
+  std::set<std::uint64_t> observed;  // ordinals
   std::vector<std::uint64_t> seq;
   for (int t = 0; t < 30; ++t) {
-    const Configuration c = tuner.suggest();
-    seq.push_back(ds.space().ordinal_of(c));
+    std::optional<SweepHit> direct;
     if (t >= 8) {
-      seq.push_back(bits(metrics.gauge("hiperbot.acquisition_best").value()));
+      direct = direct_topk(tuner, ds.space(), pool, observed, 1).front();
     }
+    const Configuration c = tuner.suggest();
+    const std::uint64_t ordinal = ds.space().ordinal_of(c);
+    seq.push_back(ordinal);
+    if (direct) {
+      const double best = metrics.gauge("hiperbot.acquisition_best").value();
+      EXPECT_EQ(ordinal, ds.space().ordinal_of(pool[direct->index]))
+          << "iteration " << t;
+      EXPECT_EQ(bits(best), bits(direct->score)) << "iteration " << t;
+      seq.push_back(bits(best));
+    }
+    observed.insert(ordinal);
     tuner.observe(c, ds.value_of(c));
   }
   return seq;
 }
 
 TEST(Acquisition, SuggestionsIdenticalAcrossThreadCountsAndVsDirect) {
-  const auto reference = ranking_run(AcquisitionMode::kTable, -1);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 1), reference);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 2), reference);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 7), reference);
-  EXPECT_EQ(ranking_run(AcquisitionMode::kTable, 0), reference);  // hardware
-  EXPECT_EQ(ranking_run(AcquisitionMode::kDirect, -1), reference);
+  const auto reference = ranking_run(-1);
+  EXPECT_EQ(ranking_run(1), reference);
+  EXPECT_EQ(ranking_run(2), reference);
+  EXPECT_EQ(ranking_run(7), reference);
+  EXPECT_EQ(ranking_run(0), reference);  // hardware
 }
 
-std::vector<std::uint64_t> batch_run(AcquisitionMode mode, int threads) {
+std::vector<std::uint64_t> batch_run(int threads) {
   auto ds = testutil::separable_dataset();
+  const std::vector<Configuration> pool = ds.space_ptr()->enumerate();
   HiPerBOtConfig config;
   config.initial_samples = 6;
-  config.acquisition = mode;
   HiPerBOt tuner(ds.space_ptr(), config, 41);
-  std::optional<ThreadPool> pool;
+  std::optional<ThreadPool> workers;
   if (threads >= 0) {
-    pool.emplace(static_cast<std::size_t>(threads));
-    tuner.set_sweep_pool(&*pool);
+    workers.emplace(static_cast<std::size_t>(threads));
+    tuner.set_sweep_pool(&*workers);
   }
+  std::set<std::uint64_t> observed;  // ordinals
   std::vector<std::uint64_t> seq;
   for (int round = 0; round < 8; ++round) {
-    for (const Configuration& c : tuner.suggest_batch(3)) {
-      seq.push_back(ds.space().ordinal_of(c));
+    std::vector<SweepHit> direct;
+    if (tuner.history().size() >= config.initial_samples) {
+      direct = direct_topk(tuner, ds.space(), pool, observed, 3);
+    }
+    const std::vector<Configuration> batch = tuner.suggest_batch(3);
+    EXPECT_GE(batch.size(), direct.size()) << "round " << round;
+    for (std::size_t i = 0; i < std::min(direct.size(), batch.size()); ++i) {
+      EXPECT_EQ(ds.space().ordinal_of(batch[i]),
+                ds.space().ordinal_of(pool[direct[i].index]))
+          << "round " << round << " member " << i;
+    }
+    for (const Configuration& c : batch) {
+      const std::uint64_t ordinal = ds.space().ordinal_of(c);
+      seq.push_back(ordinal);
+      observed.insert(ordinal);
       tuner.observe(c, ds.value_of(c));
     }
   }
@@ -180,10 +224,9 @@ std::vector<std::uint64_t> batch_run(AcquisitionMode mode, int threads) {
 }
 
 TEST(Acquisition, BatchesIdenticalAcrossThreadCountsAndVsDirect) {
-  const auto reference = batch_run(AcquisitionMode::kTable, -1);
-  EXPECT_EQ(batch_run(AcquisitionMode::kTable, 2), reference);
-  EXPECT_EQ(batch_run(AcquisitionMode::kTable, 7), reference);
-  EXPECT_EQ(batch_run(AcquisitionMode::kDirect, -1), reference);
+  const auto reference = batch_run(-1);
+  EXPECT_EQ(batch_run(2), reference);
+  EXPECT_EQ(batch_run(7), reference);
 }
 
 // ----------------------------------------- serial suggest() marks pending

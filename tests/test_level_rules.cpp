@@ -30,7 +30,7 @@
 #include "space/candidate_stream.hpp"
 #include "space/level_rules.hpp"
 #include "space/parameter_space.hpp"
-#include "stream_oracles.hpp"
+#include "sweep_oracles.hpp"
 #include "test_util.hpp"
 
 namespace hpb {

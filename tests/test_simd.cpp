@@ -7,10 +7,10 @@
 //     every compiled tier, across randomized conditional/constrained
 //     discrete spaces, a mixed discrete+continuous pool, and unaligned
 //     block boundaries (vector-width tails);
-//   - the streaming table top-k (pooled and streamed variants) reproduces
-//     the generic per-candidate sweep exactly — hits, score bits, and
-//     order — for every tier, any thread count, and multi-chunk pools
-//     where the bounded merge actually truncates;
+//   - sweep_topk over both sources (pool slices and stream passes)
+//     reproduces the generic per-candidate sweep exactly — hits, score
+//     bits, and order — for every tier, any thread count, and multi-chunk
+//     pools where the bounded merge actually truncates;
 //   - HiPerBOt's suggestions are identical under every forced HPB_SIMD
 //     tier, for both pooled and streamed Ranking sweeps.
 #include "core/simd.hpp"
@@ -29,7 +29,7 @@
 #include "core/acquisition.hpp"
 #include "core/hiperbot.hpp"
 #include "space/candidate_stream.hpp"
-#include "stream_oracles.hpp"
+#include "sweep_oracles.hpp"
 #include "test_util.hpp"
 
 namespace hpb::core {
@@ -171,7 +171,7 @@ TEST(SimdDispatch, ScoreBlockBitwiseParityOnRandomSpaces) {
     }
     for (const SimdTier tier : tiers) {
       std::vector<double> out(n);
-      fx.table->score_block(*fx.columns, 0, n, out.data(), tier);
+      fx.table->score_block(fx.columns->block(), 0, n, out.data(), tier);
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(bits(out[j]), bits(reference[j]))
             << simd_tier_name(tier) << " candidate " << j;
@@ -187,7 +187,7 @@ TEST(SimdDispatch, ScoreBlockHandlesUnalignedRangesAndTails) {
   const std::size_t n = fx.pool.size();
   ASSERT_GE(n, 12u);
   std::vector<double> reference(n);
-  fx.table->score_block(*fx.columns, 0, n, reference.data(),
+  fx.table->score_block(fx.columns->block(), 0, n, reference.data(),
                         SimdTier::kScalar);
   for (const SimdTier tier : available_tiers()) {
     for (const auto [begin, end] :
@@ -196,7 +196,8 @@ TEST(SimdDispatch, ScoreBlockHandlesUnalignedRangesAndTails) {
           {0, 7},
           {n - 5, n}}) {
       std::vector<double> out(end - begin);
-      fx.table->score_block(*fx.columns, begin, end, out.data(), tier);
+      fx.table->score_block(fx.columns->block(), begin, end - begin,
+                            out.data(), tier);
       for (std::size_t j = begin; j < end; ++j) {
         ASSERT_EQ(bits(out[j - begin]), bits(reference[j]))
             << simd_tier_name(tier) << " range [" << begin << ", " << end
@@ -204,6 +205,18 @@ TEST(SimdDispatch, ScoreBlockHandlesUnalignedRangesAndTails) {
       }
     }
   }
+  // Rows past the block, and a block with the wrong parameter count, are
+  // errors rather than out-of-bounds gathers.
+  std::vector<double> out(n + 1);
+  EXPECT_THROW(fx.table->score_block(fx.columns->block(), 0, n + 1, out.data()),
+               Error);
+  EXPECT_THROW(fx.table->score_block(fx.columns->block(), n, 1, out.data()),
+               Error);
+  const ColumnBlock block = fx.columns->block();
+  EXPECT_THROW(fx.table->score_block({block.data.first(block.data.size() - 1),
+                                      block.rows},
+                                     0, n, out.data()),
+               Error);
 }
 
 TEST(SimdDispatch, ScoreBlockBitwiseParityOnMixedSpace) {
@@ -231,7 +244,7 @@ TEST(SimdDispatch, ScoreBlockBitwiseParityOnMixedSpace) {
   }
   for (const SimdTier tier : available_tiers()) {
     std::vector<double> out(pool.size());
-    table.score_block(columns, 0, pool.size(), out.data(), tier);
+    table.score_block(columns.block(), 0, pool.size(), out.data(), tier);
     for (std::size_t j = 0; j < pool.size(); ++j) {
       EXPECT_EQ(bits(out[j]), bits(reference[j]))
           << simd_tier_name(tier) << " candidate " << j;
@@ -245,21 +258,20 @@ TEST(StreamingTopk, TableTopkMatchesGenericSweepOnRandomSpaces) {
   for (std::uint64_t t = 0; t < 30; ++t) {
     SCOPED_TRACE("space seed " + std::to_string(t));
     const TableFixture fx(0x70C0'0000 + t);
-    const auto excluded = [&](std::size_t j) {
-      return fx.columns->ordinals()[j] % 7 == 0;
-    };
     for (const std::size_t k : {std::size_t{1}, std::size_t{5}}) {
       const std::vector<SweepHit> reference = acquisition_topk(
           fx.columns->size(), k, nullptr,
           [&](std::size_t j) { return fx.table->score(*fx.columns, j); },
-          excluded);
+          [&](std::size_t j) { return fx.columns->ordinals()[j] % 7 == 0; });
       for (const SimdTier tier : available_tiers()) {
-        const std::vector<SweepHit> got = acquisition_topk_table(
-            *fx.table, *fx.columns, k, nullptr, excluded, tier);
+        const std::vector<SweepHit> got = sweep_topk(
+            PoolSource{*fx.columns}, *fx.table, k, nullptr,
+            [](const SweepHit& hit) { return hit.ordinal % 7 == 0; }, tier);
         ASSERT_EQ(got.size(), reference.size()) << simd_tier_name(tier);
         for (std::size_t i = 0; i < reference.size(); ++i) {
           EXPECT_EQ(got[i].index, reference[i].index) << simd_tier_name(tier);
           EXPECT_EQ(bits(got[i].score), bits(reference[i].score));
+          EXPECT_EQ(got[i].ordinal, fx.columns->ordinals()[got[i].index]);
         }
       }
     }
@@ -283,19 +295,18 @@ TEST(StreamingTopk, MultiChunkBoundedMergeMatchesGenericForAnyThreadCount) {
   const TpeSurrogate s(space, h, 0.2);
   const PoolColumns columns(*space, pool);
   const AcquisitionTable table(s, columns);
-  const auto excluded = [&](std::size_t j) {
-    return columns.ordinals()[j] % 5 == 0;
-  };
   const std::vector<SweepHit> reference = acquisition_topk(
       columns.size(), 7, nullptr,
-      [&](std::size_t j) { return table.score(columns, j); }, excluded);
+      [&](std::size_t j) { return table.score(columns, j); },
+      [&](std::size_t j) { return columns.ordinals()[j] % 5 == 0; });
   ASSERT_EQ(reference.size(), 7u);
   ThreadPool pool1(1), pool2(2), pool7(7), pool_hw(0);
   ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool7, &pool_hw};
   for (const SimdTier tier : available_tiers()) {
     for (ThreadPool* workers : pools) {
-      const std::vector<SweepHit> got =
-          acquisition_topk_table(table, columns, 7, workers, excluded, tier);
+      const std::vector<SweepHit> got = sweep_topk(
+          PoolSource{columns}, table, 7, workers,
+          [](const SweepHit& hit) { return hit.ordinal % 5 == 0; }, tier);
       ASSERT_EQ(got.size(), reference.size()) << simd_tier_name(tier);
       for (std::size_t i = 0; i < reference.size(); ++i) {
         EXPECT_EQ(got[i].index, reference[i].index) << simd_tier_name(tier);
@@ -316,26 +327,27 @@ TEST(StreamingTopk, StreamedTableSweepMatchesScoreConfigSweep) {
       h.add(pool[j], toy_value(pool[j], j));
     }
     const TpeSurrogate s(space, h, 0.2);
-    const AcquisitionTable table(s, *space);
+    // A streamed space's table is the pooled table over its level layout.
+    const PoolColumns layout(*space, {});
+    const AcquisitionTable table(s, layout);
     // Small chunks force a multi-chunk streamed pass.
     const space::CandidateStream stream(space, /*seed=*/t,
                                         space::StreamConfig{.chunk = 64});
-    const auto excluded = [](const space::CandidateStream::Candidate& c) {
-      return c.ordinal % 3 == 0;
+    const auto excluded = [](const SweepHit& hit) {
+      return hit.ordinal % 3 == 0;
     };
-    const std::vector<StreamHit> reference = acquisition_topk_stream(
+    const std::vector<SweepHit> reference = acquisition_topk_stream(
         stream, /*pass=*/0, /*k=*/5, nullptr,
-        [&](const Configuration& c) { return table.score_config(c); },
-        excluded);
+        [&](const Configuration& c) { return s.acquisition(c); }, excluded);
     for (const SimdTier tier : available_tiers()) {
       for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool2}) {
-        const std::vector<StreamHit> got = acquisition_topk_stream_table(
-            stream, /*pass=*/0, /*k=*/5, workers, table, excluded, tier);
+        const std::vector<SweepHit> got =
+            sweep_topk(StreamSource{stream, /*pass=*/0}, table, /*k=*/5,
+                       workers, excluded, tier);
         ASSERT_EQ(got.size(), reference.size()) << simd_tier_name(tier);
         for (std::size_t i = 0; i < reference.size(); ++i) {
-          EXPECT_EQ(got[i].config.values(), reference[i].config.values());
+          EXPECT_EQ(got[i].index, reference[i].index);
           EXPECT_EQ(bits(got[i].score), bits(reference[i].score));
-          EXPECT_EQ(got[i].pass_index, reference[i].pass_index);
           EXPECT_EQ(got[i].ordinal, reference[i].ordinal);
         }
       }
