@@ -170,6 +170,12 @@ std::size_t warm_start_from_csv(std::istream& in,
       status = tabular::status_from_name(fields.back());
     }
     space::Configuration config(std::move(values));
+    // Tuners count every replayed row against their candidate pool, so a
+    // row outside the valid set would make the pool look exhausted early.
+    HPB_REQUIRE(space.satisfies(config),
+                "warm_start_from_csv: configuration on line " +
+                    std::to_string(line_no) +
+                    " violates the space's constraints");
     if (status == tabular::EvalStatus::kOk) {
       double y = 0.0;
       const std::string& y_cell = fields[objective_col];

@@ -31,7 +31,8 @@ void write_history_csv(std::ostream& out, const space::ParameterSpace& space,
 /// whose parameter columns use the space's level labels / numeric values)
 /// and replay each row into the tuner: successes via observe(), rows whose
 /// optional trailing "status" column marks a failure via observe_failure().
-/// The column after the parameters must be named "objective".
+/// The column after the parameters must be named "objective", and every
+/// row's configuration must satisfy the space (its constraints included).
 /// Returns the number of rows replayed (successes plus failures).
 std::size_t warm_start_from_csv(const std::string& path,
                                 const space::ParameterSpace& space,

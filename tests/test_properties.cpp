@@ -211,6 +211,36 @@ TEST(HistoryIo, HandlesReorderedColumnsAndErrors) {
   }
 }
 
+TEST(HistoryIo, WarmStartRejectsRowsOutsideTheConstrainedSpace) {
+  // 2x2 integer space without (1,1). Accepting the (1,1) row used to count
+  // it against the 3-configuration pool: after (0,0) and (0,1) the pool
+  // looked exhausted, so suggest() threw and suggest_batch(1) came back
+  // empty although (1,0) was never evaluated.
+  auto space = std::make_shared<space::ParameterSpace>();
+  space->add(space::Parameter::integer("a", 0, 1));
+  space->add(space::Parameter::integer("b", 0, 1));
+  space->add_constraint([](const space::ParameterSpace&,
+                           const Configuration& c) {
+    return !(c.level(0) == 1 && c.level(1) == 1);
+  });
+  core::HiPerBOtConfig config;
+  config.initial_samples = 2;
+  core::HiPerBOt tuner(space, config, 12);
+  std::istringstream with_invalid("a,b,objective\n1,1,1.0\n0,0,2.0\n0,1,3.0\n");
+  try {
+    (void)core::warm_start_from_csv(with_invalid, *space, tuner);
+    FAIL() << "the (1,1) row violates the constraint";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(tuner.history().size(), 0u);
+
+  std::istringstream valid("a,b,objective\n0,0,2.0\n0,1,3.0\n");
+  ASSERT_EQ(core::warm_start_from_csv(valid, *space, tuner), 2u);
+  EXPECT_EQ(tuner.suggest(), Configuration({1.0, 0.0}));
+}
+
 TEST(HistoryIo, ContinuousParametersRoundTrip) {
   auto sp = testutil::mixed_space();
   core::HiPerBOtConfig config;
