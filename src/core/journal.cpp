@@ -181,9 +181,14 @@ JournalWriter JournalWriter::append(const std::string& path,
   if (fd < 0) {
     throw IoError("journal open '" + path + "': " + errno_text(), errno);
   }
-  // Drop the torn tail / incomplete round / end marker, then continue.
-  if (::ftruncate(fd, static_cast<off_t>(contents.valid_bytes)) != 0 ||
-      ::lseek(fd, 0, SEEK_END) < 0) {
+  // Drop the torn tail / incomplete round / end marker, then continue. A
+  // clean journal already ends at valid_bytes: truncating it anyway would
+  // still touch its mtime and make the fsync below commit that.
+  const auto valid = static_cast<off_t>(contents.valid_bytes);
+  const off_t size = ::lseek(fd, 0, SEEK_END);
+  if (size < 0 ||
+      (size != valid &&
+       (::ftruncate(fd, valid) != 0 || ::lseek(fd, 0, SEEK_END) < 0))) {
     const int err = errno;
     ::close(fd);
     throw IoError("journal truncate '" + path + "': " + std::strerror(err),

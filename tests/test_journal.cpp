@@ -1,6 +1,8 @@
 // Crash-tolerant session durability:
 //   - the write-ahead journal round-trips headers and observations bitwise
 //     (doubles stored as IEEE-754 bit patterns, NaN objectives included);
+//   - reopening a journal that needs no truncation leaves its bytes and
+//     mtime untouched;
 //   - a journal killed at ANY byte offset — record boundaries and torn
 //     mid-line tails alike — resumes to a final result bitwise identical
 //     to the uninterrupted run, for HiPerBOt, GEIST, and random search;
@@ -16,6 +18,9 @@
 //   - the HPB_EVAL_TIMEOUT_MS / HPB_JOURNAL / HPB_HANG_RATE environment
 //     knobs are parsed strictly.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <bit>
@@ -192,6 +197,32 @@ TEST(JournalRoundTrip, RejectsNonJournalAndMissingFiles) {
   spill(path, "objective,status\n1.5,ok\n");
   EXPECT_THROW((void)core::read_journal(path), Error);
   EXPECT_THROW((void)core::read_journal(temp_path("no_such.hpbj")), Error);
+}
+
+TEST(JournalRoundTrip, ReopeningACleanJournalLeavesItsBytesAndMtime) {
+  auto ds = testutil::separable_dataset();
+  const std::string path = temp_path("clean_reopen.hpbj");
+  {
+    JournalWriter writer =
+        JournalWriter::create(path, make_header(ds, "random", 1, 10));
+    writer.begin_round(1, 1);
+    writer.append_observation({ds.configs()[3], 2.5,
+                               tabular::EvalStatus::kOk});
+  }
+  const std::string bytes = slurp(path);
+  const JournalContents contents = core::read_journal(path);
+  ASSERT_EQ(contents.valid_bytes, bytes.size());  // nothing to drop
+
+  // Pin the mtime far in the past: a truncate to the current size still
+  // stamps the file with the present time.
+  const struct timespec pinned[2] = {{1'000'000'000, 0}, {1'000'000'000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), pinned, 0), 0);
+  { const JournalWriter writer = JournalWriter::append(path, contents); }
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mtim.tv_sec, pinned[1].tv_sec);
+  EXPECT_EQ(st.st_mtim.tv_nsec, pinned[1].tv_nsec);
+  EXPECT_EQ(slurp(path), bytes);
 }
 
 // --------------------------------------------------- kill-and-resume
