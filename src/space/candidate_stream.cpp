@@ -136,9 +136,11 @@ void CandidateStream::chunk_columns(std::uint64_t pass, std::size_t chunk,
   const std::uint64_t begin = static_cast<std::uint64_t>(chunk) * config_.chunk;
   const std::uint64_t end = std::min<std::uint64_t>(
       begin + config_.chunk, pass_length_);
+  const PrefixFilter& filter = space_->prefix_filter();
   LevelBuffer buffer(num_params);
   std::uint32_t* levels = buffer.data();
   std::uint64_t ordinals[kPermuteBlock];
+  std::uint32_t kept[kPermuteBlock];  // block offsets left to validate
   for (std::uint64_t block = begin; block < end; block += kPermuteBlock) {
     // Permute a whole block before validating any of it: the Feistel rounds
     // of neighbouring raw indices are independent, so this loop keeps
@@ -150,7 +152,16 @@ void CandidateStream::chunk_columns(std::uint64_t pass, std::size_t chunk,
     for (std::size_t j = 0; j < count; ++j) {
       ordinals[j] = permute(keys, block + j);
     }
+    // The prefix filter drops most invalid ordinals with one bit test each,
+    // compacting the rest without a branch; only those reach the full
+    // check, which the filter's rules are a part of.
+    std::size_t num_kept = 0;
     for (std::size_t j = 0; j < count; ++j) {
+      kept[num_kept] = static_cast<std::uint32_t>(j);
+      num_kept += !filter.active() || filter.passes(ordinals[j]) ? 1 : 0;
+    }
+    for (std::size_t t = 0; t < num_kept; ++t) {
+      const std::uint32_t j = kept[t];
       if (space_->accepts_ordinal(ordinals[j], levels)) {
         out.push(levels, block + j, ordinals[j]);
       }

@@ -5,7 +5,9 @@
 // mapped through a bijection over [0, cross_product_size) — the identity for
 // small spaces (so a pass reproduces enumerate() in ordinal order, bitwise),
 // a seeded 4-round Feistel permutation with cycle-walking for huge ones (so
-// no ordinal repeats within a pass). Each raw index's ordinal is checked on
+// no ordinal repeats within a pass). Each raw index's ordinal first meets
+// the space's prefix filter (ParameterSpace::prefix_filter, one bit test
+// that drops most invalid ordinals), then the survivors are checked on
 // levels by the space's compiled rules (ParameterSpace::accepts_ordinal,
 // equal to satisfies() of the decoded configuration) and only the survivors'
 // levels are written out, straight into per-parameter columns: every

@@ -1,5 +1,6 @@
 #include "space/level_rules.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -120,6 +121,91 @@ void LevelRules::compile() {
   for (std::uint32_t i = 0; i < n; ++i) {
     decode(i);
   }
+
+  const std::lock_guard lock(filter_cache_.mutex);
+  filter_cache_.filter.reset();
+}
+
+const PrefixFilter& LevelRules::prefix_filter() const {
+  const std::lock_guard lock(filter_cache_.mutex);
+  if (filter_cache_.filter == nullptr) {
+    filter_cache_.filter =
+        std::make_unique<const PrefixFilter>(compile_prefix_filter());
+  }
+  return *filter_cache_.filter;
+}
+
+PrefixFilter LevelRules::compile_prefix_filter() const {
+  PrefixFilter filter;
+  if (block_.empty()) {
+    return filter;  // no ordinals to divide
+  }
+  // The longest prefix that fits the budget (entries stays below 2^20 and
+  // a level count below 2^32, so the product cannot overflow).
+  const std::size_t n = radix_.size();
+  std::size_t fits = 0;
+  for (std::uint64_t entries = 1;
+       fits < n && entries * radix_[fits] <= PrefixFilter::kMaxEntries;
+       ++fits) {
+    entries *= radix_[fits];
+  }
+  // Every rule inside it, keyed by the last parameter it reads: a rule
+  // reads its parameters and their ancestor chains, and parents precede
+  // children, so that is its highest parameter index.
+  std::vector<std::vector<const Rule*>> checked_at(fits);
+  std::size_t depth = 0;
+  for (const Rule& r : rules_) {
+    const std::uint32_t last =
+        r.table == kActivityRule ? r.a : std::max(r.a, r.b);
+    if (last < fits) {
+      checked_at[last].push_back(&r);
+      ++filter.num_rules_;
+      depth = std::max<std::size_t>(depth, last + 1);
+    }
+  }
+  if (depth == 0) {
+    return filter;
+  }
+  // Parameters past the deepest rule would only repeat each bit: leave
+  // them out of the prefix.
+  filter.num_params_ = depth;
+  std::uint64_t entries = 1;
+  for (std::size_t i = 0; i < depth; ++i) {
+    entries *= radix_[i];
+  }
+  filter.entries_ = entries;
+  filter.suffix_ = block_[depth];
+  filter.bits_.assign((entries + 63) / 64, 0);
+
+  // Depth-first over the prefix levels in mixed-radix order, checking each
+  // rule as soon as its last parameter is fixed. A failed rule prunes the
+  // whole subtree, whose bits stay clear.
+  std::vector<std::uint32_t> levels(depth, 0);
+  auto visit = [&](auto& self, std::size_t d, std::uint64_t index) -> void {
+    const bool leaf = d + 1 == depth;
+    for (std::uint32_t l = 0; l < radix_[d]; ++l) {
+      levels[d] = l;
+      bool ok = true;
+      for (const Rule* r : checked_at[d]) {
+        if (!passes(*r, levels.data())) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) {
+        continue;
+      }
+      const std::uint64_t next = index * radix_[d] + l;
+      if (leaf) {
+        filter.bits_[next >> 6] |= std::uint64_t{1} << (next & 63);
+        ++filter.passed_;
+      } else {
+        self(self, d + 1, next);
+      }
+    }
+  };
+  visit(visit, 0, 0);
+  return filter;
 }
 
 }  // namespace hpb::space

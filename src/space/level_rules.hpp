@@ -18,10 +18,21 @@
 // comes up, so most invalid candidates are rejected after a couple of
 // decodes. The rules are a conjunction, so evaluation order never changes
 // the answer, only how soon a rejection is found.
+//
+// On top of the rules sits a PrefixFilter: every rule that reads only the
+// leading parameters, evaluated once for every combination of their levels
+// and stored as one bit per combination. An ordinal's leading levels form
+// the combined index ordinal / (product of the remaining level counts), so
+// the filter rejects most invalid ordinals with one multiply-high and one
+// bit test, before any level is decoded or any rule branch is taken. It is
+// compiled on first use, once per set of rules, and dropped whenever a
+// parameter or rule is added.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 namespace hpb::space {
@@ -68,6 +79,58 @@ class LevelBuffer {
   static constexpr std::size_t kInline = 32;
   std::uint32_t inline_[kInline];
   std::vector<std::uint32_t> heap_;
+};
+
+/// The rules over a space's leading parameters as a bitset (see the file
+/// comment): bit p is set iff every compiled rule whose parameters all lie
+/// in the prefix passes on the prefix levels whose combined mixed-radix
+/// index is p. Every rule is part of the full check, so passes() is false
+/// only for ordinals LevelRules::accepts() rejects too. Built by
+/// LevelRules::prefix_filter(); inactive when no rule lies in the prefix.
+class PrefixFilter {
+ public:
+  /// Largest prefix cross product compiled: 2^20 bits, 128 KB, small
+  /// enough to stay in a core's L2 cache while a sweep streams past it.
+  static constexpr std::uint64_t kMaxEntries = 1ULL << 20;
+
+  /// True when the filter holds a rule; passes() needs an active filter.
+  [[nodiscard]] bool active() const noexcept { return !bits_.empty(); }
+
+  /// Leading parameters the bitset covers.
+  [[nodiscard]] std::size_t num_params() const noexcept { return num_params_; }
+
+  /// Compiled rules that lie wholly in the prefix.
+  [[nodiscard]] std::size_t num_rules() const noexcept { return num_rules_; }
+
+  /// Bits in the set: the prefix's cross product.
+  [[nodiscard]] std::uint64_t entries() const noexcept { return entries_; }
+
+  /// Bits set, out of entries(): the filter's pass count. Every prefix
+  /// combination has the same number of completions, so passed() /
+  /// entries() is also the share of the full cross product that passes.
+  [[nodiscard]] std::uint64_t passed() const noexcept { return passed_; }
+
+  /// Bytes the bitset occupies.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return bits_.size() * sizeof(std::uint64_t);
+  }
+
+  /// False when a rule over the prefix rejects the configuration at
+  /// `ordinal` (an active filter; `ordinal` below the cross product).
+  [[nodiscard]] bool passes(std::uint64_t ordinal) const noexcept {
+    const std::uint64_t p = suffix_.divide(ordinal);
+    return ((bits_[p >> 6] >> (p & 63)) & 1) != 0;
+  }
+
+ private:
+  friend class LevelRules;
+
+  FixedDivisor suffix_;  // product of the level counts after the prefix
+  std::vector<std::uint64_t> bits_;
+  std::size_t num_params_ = 0;
+  std::size_t num_rules_ = 0;
+  std::uint64_t entries_ = 0;
+  std::uint64_t passed_ = 0;
 };
 
 /// A space's structural validity over level indices (see the file
@@ -133,6 +196,16 @@ class LevelRules {
     return true;
   }
 
+  /// The prefix filter of the rules registered so far, compiled on the
+  /// first call after the last add_* and shared by every later call; safe
+  /// to call from several threads at once. The prefix is the longest run
+  /// of leading parameters whose cross product fits
+  /// PrefixFilter::kMaxEntries, cut back to the last parameter a rule
+  /// inside it reads. Inactive when the space is not decodable (a
+  /// continuous parameter, or a cross product past 64 bits) or no rule
+  /// lies in the prefix. The reference stays valid until the next add_*.
+  [[nodiscard]] const PrefixFilter& prefix_filter() const;
+
  private:
   static constexpr std::uint32_t kActivityRule = 0xFFFFFFFFu;
 
@@ -177,8 +250,12 @@ class LevelRules {
            !active(levels, r.a) || !active(levels, r.b);
   }
 
-  /// Rebuild the strides, the rule order and the lazy decode order.
+  /// Rebuild the strides, the rule order and the lazy decode order, and
+  /// drop the prefix filter.
   void compile();
+
+  /// Compile the prefix filter of the current rules (prefix_filter()).
+  [[nodiscard]] PrefixFilter compile_prefix_filter() const;
 
   std::vector<std::uint32_t> radix_;   // levels per parameter (0: continuous)
   std::vector<std::uint32_t> parent_;  // kNoParent when unconditional
@@ -199,6 +276,24 @@ class LevelRules {
   std::vector<FixedDivisor> block_;
   std::vector<Rule> rules_;                  // evaluation order
   std::vector<std::uint32_t> decode_order_;  // rule prefixes, then the rest
+
+  /// prefix_filter()'s result, compiled on first use. A copy of the rules
+  /// starts without one and compiles its own.
+  struct FilterCache {
+    FilterCache() = default;
+    FilterCache(const FilterCache& /*other*/) noexcept {}
+    FilterCache& operator=(const FilterCache& other) {
+      if (this != &other) {
+        const std::lock_guard lock(mutex);
+        filter.reset();
+      }
+      return *this;
+    }
+
+    std::mutex mutex;
+    std::unique_ptr<const PrefixFilter> filter;  // guarded by mutex
+  };
+  mutable FilterCache filter_cache_;
 };
 
 }  // namespace hpb::space

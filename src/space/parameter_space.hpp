@@ -14,7 +14,9 @@
 // Conditionals and divisibility rules are compiled onto level indices as
 // they are registered (space/level_rules.hpp): satisfies(), enumerate() and
 // streamed generation all check the same compiled rules, and only opaque
-// add_constraint() predicates need a Configuration.
+// add_constraint() predicates need a Configuration. Streamed generation
+// first tests each ordinal against prefix_filter(), the rules over the
+// leading parameters compiled once per space into a bitset.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +113,16 @@ class ParameterSpace {
     return level_rules_.accepts(ordinal, levels) &&
            (constraints_.empty() ||
             satisfies_predicates(configuration_from_levels(levels)));
+  }
+
+  /// The compiled rules over the space's leading parameters as one bit per
+  /// combination of their levels (PrefixFilter in space/level_rules.hpp):
+  /// passes(ordinal) is false only where accepts_ordinal() is false too.
+  /// Compiled on the first call after the last add_*, once per space, and
+  /// safe to call from several threads at once; inactive when no compiled
+  /// rule lies in the prefix.
+  [[nodiscard]] const PrefixFilter& prefix_filter() const {
+    return level_rules_.prefix_filter();
   }
 
   /// True when the space has at least one conditional parameter.

@@ -8,17 +8,28 @@
 //     ParameterSpace::accepts_ordinal equals satisfies(configuration_at())
 //     and decodes the same levels; on the random and hand-built spaces it
 //     also equals validity re-derived from the registered structure alone;
+//   - PrefixFilter: the compiled bitset over the leading parameters never
+//     rejects an ordinal accepts_ordinal accepts (every raw ordinal of the
+//     random, chain and app spaces, a sampled pass of the full systolic
+//     space), equals the prefix's rules re-derived from the registered
+//     structure, and handles its edge cases: no rule in the prefix, a
+//     prefix covering every parameter, a first parameter past the budget,
+//     a continuous parameter, a space extended or copied after its filter
+//     was built, and a first use from several threads at once;
 //   - StreamedGeneration: CandidateStream's chunk output (exhaustive and
 //     forced-Feistel passes, several chunk sizes) equals the old
 //     configuration_at() + satisfies() loop at 1, 2, 7 and hardware worker
-//     threads, including one sampled pass over the full systolic space.
+//     threads, including one sampled pass over the full systolic space,
+//     with the prefix filter active wherever a rule lies in the prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/kripke.hpp"
@@ -40,6 +51,7 @@ using space::CandidateStream;
 using space::Configuration;
 using space::Parameter;
 using space::ParameterSpace;
+using space::PrefixFilter;
 using space::SpacePtr;
 using space::StreamConfig;
 
@@ -95,10 +107,12 @@ std::vector<std::size_t> radix_levels(const std::vector<std::size_t>& radix,
 
 /// Validity re-derived from what random_conditional_space registered:
 /// activity resolves top-down through the parents, inactive parameters
-/// must hold level 0, and 2^a divides 2^b exactly when a <= b.
+/// must hold level 0, and 2^a divides 2^b exactly when a <= b. Only the
+/// rules over parameters below `prefix` count (all of them by default).
 bool spec_valid(const testutil::RandomSpaceSpec& spec,
-                const std::vector<std::size_t>& levels) {
-  const std::size_t n = spec.levels.size();
+                const std::vector<std::size_t>& levels,
+                std::size_t prefix = SIZE_MAX) {
+  const std::size_t n = std::min(spec.levels.size(), prefix);
   std::vector<bool> active(n, true);
   for (std::size_t i = 0; i < n; ++i) {
     if (spec.parent[i] == SIZE_MAX) {
@@ -114,7 +128,7 @@ bool spec_valid(const testutil::RandomSpaceSpec& spec,
     }
   }
   for (const auto& [a, b] : spec.divisibility) {
-    if (active[a] && active[b] && levels[a] > levels[b]) {
+    if (a < n && b < n && active[a] && active[b] && levels[a] > levels[b]) {
       return false;
     }
   }
@@ -196,8 +210,8 @@ struct ChainSpace {
     space = s;
   }
 
-  /// Validity from first principles.
-  static bool valid(const std::vector<std::size_t>& l) {
+  /// The conditionals and the divisibility rule, from first principles.
+  static bool structurally_valid(const std::vector<std::size_t>& l) {
     const double e_values[] = {1, 2, 4, 8, 6};
     const double c_values[] = {1, 2, 3};
     const bool b_active = l[kA] == 1 || l[kA] == 2;
@@ -207,10 +221,12 @@ struct ChainSpace {
         (!d_active && l[kD] != 0)) {
       return false;
     }
-    if (c_active && std::fmod(e_values[l[kE]], c_values[l[kC]]) != 0.0) {
-      return false;
-    }
-    return l[kA] + l[kE] <= 5;
+    return !c_active || std::fmod(e_values[l[kE]], c_values[l[kC]]) == 0.0;
+  }
+
+  /// Validity from first principles: the structure and the predicate.
+  static bool valid(const std::vector<std::size_t>& l) {
+    return structurally_valid(l) && l[kA] + l[kE] <= 5;
   }
 };
 
@@ -265,9 +281,11 @@ void expect_stream_matches_reference(const CandidateStream& stream,
 }
 
 TEST(StreamedGeneration, ChunkOutputMatchesReferenceLoopOnRandomSpaces) {
+  std::size_t filtered = 0;
   for (std::size_t t = 0; t < kNumSpaces; ++t) {
     SCOPED_TRACE("space seed " + std::to_string(t));
     const SpacePtr s = testutil::random_conditional_space(0xA110'0000 + t);
+    filtered += s->prefix_filter().active() ? 1 : 0;
     // Exhaustive identity pass, multi-chunk.
     expect_stream_matches_reference(
         CandidateStream(s, /*seed=*/t, StreamConfig{.chunk = 64}), 0);
@@ -280,12 +298,17 @@ TEST(StreamedGeneration, ChunkOutputMatchesReferenceLoopOnRandomSpaces) {
         t % 3);
     ASSERT_FALSE(HasFailure());
   }
+  EXPECT_GT(filtered, kNumSpaces / 2);  // most passes ran filtered
 }
 
 TEST(StreamedGeneration, ChunkOutputMatchesReferenceLoopOnChainAndApps) {
+  // The chain and systolic_small run filtered; kripke and lulesh, with
+  // opaque predicates only, unfiltered.
   const SpacePtr spaces[] = {
       ChainSpace().space, apps::kripke_exec_space(), apps::lulesh_space(),
       apps::dataset_by_name("systolic_small").make().space_ptr()};
+  EXPECT_TRUE(spaces[0]->prefix_filter().active());
+  EXPECT_TRUE(spaces[3]->prefix_filter().active());
   for (const SpacePtr& s : spaces) {
     SCOPED_TRACE("space with " + std::to_string(s->num_params()) +
                  " parameters");
@@ -303,6 +326,7 @@ TEST(StreamedGeneration, SampledSystolicPassMatchesReferenceLoop) {
   const apps::SystolicObjective objective;  // raw cross product ~2^33.9
   const CandidateStream stream(objective.space_ptr(), /*seed=*/11);
   ASSERT_FALSE(stream.exhaustive());
+  ASSERT_TRUE(objective.space().prefix_filter().active());
   expect_stream_matches_reference(stream, 2);
 
   // The column block itself: same survivors as the Candidate view.
@@ -319,6 +343,252 @@ TEST(StreamedGeneration, SampledSystolicPassMatchesReferenceLoop) {
         EXPECT_EQ(block.columns()[i][t], reference[t].config.level(i));
       }
     }
+  }
+}
+
+// ---------------------------------------------------------- PrefixFilter
+
+/// The prefix filter of `s` on every raw ordinal: never false where
+/// accepts_ordinal() is true, equal to `prefix_rules(ordinal)` (the rules
+/// inside the prefix, re-derived) when one is given, and passing exactly
+/// passed() combinations of the prefix. Returns the ordinals it rejects.
+std::uint64_t expect_filter_sound(
+    const ParameterSpace& s,
+    const std::function<bool(std::uint64_t)>& prefix_rules = {}) {
+  const PrefixFilter& filter = s.prefix_filter();
+  const std::uint64_t raw = s.cross_product_size();
+  if (!filter.active()) {
+    return 0;
+  }
+  EXPECT_LE(filter.num_params(), s.num_params());
+  EXPECT_LE(filter.entries(), PrefixFilter::kMaxEntries);
+  EXPECT_EQ(raw % filter.entries(), 0u);
+  std::vector<std::uint32_t> levels(s.num_params());
+  std::uint64_t rejected = 0;
+  for (std::uint64_t ordinal = 0; ordinal < raw; ++ordinal) {
+    const bool passes = filter.passes(ordinal);
+    rejected += passes ? 0 : 1;
+    if (s.accepts_ordinal(ordinal, levels.data())) {
+      EXPECT_TRUE(passes) << "filter drops accepted ordinal " << ordinal;
+    }
+    if (prefix_rules) {
+      EXPECT_EQ(passes, prefix_rules(ordinal)) << "ordinal " << ordinal;
+    }
+    if (::testing::Test::HasFailure()) {
+      return rejected;
+    }
+  }
+  EXPECT_EQ(raw - rejected, filter.passed() * (raw / filter.entries()));
+  return rejected;
+}
+
+TEST(PrefixFilter, SoundAndExactOnRandomConditionalSpaces) {
+  std::size_t filtered = 0;
+  std::uint64_t rejected = 0;
+  for (std::size_t t = 0; t < kNumSpaces; ++t) {
+    SCOPED_TRACE("space seed " + std::to_string(t));
+    testutil::RandomSpaceSpec spec;
+    const SpacePtr s = testutil::random_conditional_space(0xA110'0000 + t,
+                                                          &spec);
+    const PrefixFilter& filter = s->prefix_filter();
+    // Every random space fits the budget whole, so the prefix ends at the
+    // last parameter a rule reads, and holds a rule iff the space does.
+    const bool has_rules = s->has_conditionals() || !spec.divisibility.empty();
+    ASSERT_EQ(filter.active(), has_rules);
+    filtered += filter.active() ? 1 : 0;
+    rejected += expect_filter_sound(*s, [&](std::uint64_t ord) {
+      return spec_valid(spec, radix_levels(spec.levels, ord),
+                        filter.num_params());
+    });
+    ASSERT_FALSE(HasFailure());
+  }
+  EXPECT_GT(filtered, kNumSpaces / 2);
+  EXPECT_GT(rejected, kNumSpaces);
+}
+
+TEST(PrefixFilter, SoundOnChainAndAppSpaces) {
+  // The chain's divisibility rule reads its last parameter, so the prefix
+  // covers every parameter and the filter is the whole structure; the
+  // opaque predicate stays out of it.
+  const ChainSpace chain;
+  const PrefixFilter& filter = chain.space->prefix_filter();
+  ASSERT_TRUE(filter.active());
+  EXPECT_EQ(filter.num_params(), chain.space->num_params());
+  EXPECT_EQ(filter.entries(), chain.space->cross_product_size());
+  EXPECT_EQ(filter.num_rules(), 4u);  // three conditionals, one divisibility
+  const std::vector<std::size_t> radix = {3, 4, 3, 2, 5};
+  EXPECT_GT(expect_filter_sound(*chain.space,
+                                [&](std::uint64_t ord) {
+                                  return ChainSpace::structurally_valid(
+                                      radix_levels(radix, ord));
+                                }),
+            0u);
+
+  // Kripke and lulesh hold opaque predicates only: nothing to compile.
+  EXPECT_FALSE(apps::kripke_exec_space()->prefix_filter().active());
+  EXPECT_FALSE(apps::lulesh_space()->prefix_filter().active());
+  const SpacePtr small =
+      apps::dataset_by_name("systolic_small").make().space_ptr();
+  ASSERT_TRUE(small->prefix_filter().active());
+  EXPECT_GT(expect_filter_sound(*small), 0u);
+}
+
+TEST(PrefixFilter, CoversSixSystolicParametersAndDropsMostRawIndices) {
+  const apps::SystolicObjective objective;
+  const ParameterSpace& s = objective.space();
+  const PrefixFilter& filter = s.prefix_filter();
+  // space_time (4) x part_i/j/k (10 each) x part2_i/j (10 each); part2_k
+  // would take it to 4,000,000. Inside: part2_i/j's two conditionals and
+  // their two divisibility rules.
+  ASSERT_TRUE(filter.active());
+  EXPECT_EQ(filter.num_params(), 6u);
+  EXPECT_EQ(filter.entries(), 400'000u);
+  EXPECT_EQ(filter.num_rules(), 4u);
+  EXPECT_LE(filter.bytes(), PrefixFilter::kMaxEntries / 8);
+  // row/col/grid: part2_i = part2_j = level 0, 3 x 1000 combinations;
+  // grid_l2: part2 level <= part level on i and j, 55 x 55 x 10.
+  EXPECT_EQ(filter.passed(), 3u * 1000 + 55 * 55 * 10);
+
+  // Two sampled passes: the filter keeps every accepted ordinal and drops
+  // about the share of the cross product it does not pass.
+  const CandidateStream stream(objective.space_ptr(), /*seed=*/23);
+  std::vector<std::uint32_t> levels(s.num_params());
+  std::uint64_t rejected = 0;
+  std::uint64_t total = 0;
+  for (std::uint64_t pass = 0; pass < 2; ++pass) {
+    for (std::uint64_t raw = 0; raw < stream.pass_length(); ++raw) {
+      const std::uint64_t ordinal = stream.ordinal_at(pass, raw);
+      const bool passes = filter.passes(ordinal);
+      rejected += passes ? 0 : 1;
+      ++total;
+      if (s.accepts_ordinal(ordinal, levels.data())) {
+        ASSERT_TRUE(passes) << "filter drops accepted ordinal " << ordinal;
+      }
+    }
+  }
+  const double expected = 1.0 - static_cast<double>(filter.passed()) /
+                                    static_cast<double>(filter.entries());
+  EXPECT_NEAR(static_cast<double>(rejected) / static_cast<double>(total),
+              expected, 0.01);
+}
+
+TEST(PrefixFilter, InactiveWhenNoRuleLiesInThePrefix) {
+  // 2048 x 1024 levels pass the budget, so the prefix is `wide` alone and
+  // the only rule, on `child`, lies outside it.
+  auto s = std::make_shared<ParameterSpace>();
+  s->add(Parameter::integer("wide", 0, 2047));
+  s->add(Parameter::integer("tall", 0, 1023));
+  s->add_conditional(Parameter::categorical_numeric("child", {1, 2, 4}),
+                     "tall", std::vector<double>{0, 1});
+  EXPECT_FALSE(s->prefix_filter().active());
+  expect_stream_matches_reference(CandidateStream(s, /*seed=*/3), 1);
+}
+
+TEST(PrefixFilter, InactiveWhenTheFirstParameterPassesTheBudget) {
+  auto s = std::make_shared<ParameterSpace>();
+  s->add(Parameter::integer("huge", 0, static_cast<std::int64_t>(
+                                           PrefixFilter::kMaxEntries)));
+  s->add(Parameter::categorical_numeric("a", {1, 2, 4, 8}));
+  s->add_conditional(Parameter::categorical_numeric("b", {1, 2}), "a",
+                     std::vector<double>{4, 8});
+  s->add_divisibility("a", "huge");
+  EXPECT_FALSE(s->prefix_filter().active());
+  const CandidateStream stream(s, /*seed=*/4);
+  ASSERT_FALSE(stream.exhaustive());
+  expect_stream_matches_reference(stream, 0);
+}
+
+TEST(PrefixFilter, InactiveOnASpaceWithAContinuousParameter) {
+  // No ordinals to divide: the stream refuses such a space, and the
+  // filter stays empty rather than covering the discrete prefix.
+  auto s = std::make_shared<ParameterSpace>();
+  s->add(Parameter::categorical_numeric("a", {1, 2, 4}));
+  s->add_conditional(Parameter::categorical_numeric("b", {1, 2}), "a",
+                     std::vector<double>{2});
+  s->add(Parameter::continuous("x", 0.0, 1.0));
+  EXPECT_FALSE(s->prefix_filter().active());
+  EXPECT_THROW(CandidateStream(s, /*seed=*/1), Error);
+}
+
+TEST(PrefixFilter, ExtendingOrCopyingASpaceRecompilesItsFilter) {
+  auto s = std::make_shared<ParameterSpace>();
+  s->add(Parameter::categorical_numeric("a", {1, 2, 4, 8}));
+  s->add_conditional(Parameter::categorical_numeric("b", {1, 2, 4}), "a",
+                     std::vector<double>{2, 4});
+  s->add(Parameter::categorical_numeric("c", {1, 2, 4, 8}));
+  {
+    const PrefixFilter& filter = s->prefix_filter();
+    ASSERT_TRUE(filter.active());
+    EXPECT_EQ(filter.num_params(), 2u);  // c carries no rule yet
+    EXPECT_EQ(filter.entries(), 12u);
+    EXPECT_EQ(filter.passed(), 2u + 2 * 3);
+  }
+  // Built above, then extended: the rule on c must show, and the suffix
+  // divisor must follow the new cross product.
+  s->add_divisibility("c", "a");
+  s->add(Parameter::categorical_numeric("d", {1, 3}));
+  s->add_conditional(Parameter::categorical_numeric("e", {1, 2}), "d",
+                     std::vector<double>{3});
+  const PrefixFilter& extended = s->prefix_filter();
+  EXPECT_EQ(extended.num_params(), 5u);
+  EXPECT_EQ(extended.entries(), 4u * 3 * 4 * 2 * 2);
+  EXPECT_GT(expect_filter_sound(*s), 0u);
+  expect_stream_matches_reference(
+      CandidateStream(s, /*seed=*/8, StreamConfig{.chunk = 16}), 0);
+
+  // A copy compiles its own filter; extending it leaves the original's.
+  auto copy = std::make_shared<ParameterSpace>(*s);
+  copy->add_divisibility("e", "c");
+  EXPECT_EQ(copy->prefix_filter().num_rules(), extended.num_rules() + 1);
+  EXPECT_NE(&copy->prefix_filter(), &s->prefix_filter());
+  EXPECT_EQ(&s->prefix_filter(), &extended);
+  EXPECT_GT(expect_filter_sound(*copy), 0u);
+
+  // Assigning over a space drops the filter it held.
+  ParameterSpace assigned;
+  assigned.add(Parameter::categorical_numeric("z", {1, 2}));
+  EXPECT_FALSE(assigned.prefix_filter().active());
+  assigned = *copy;
+  EXPECT_EQ(assigned.prefix_filter().num_rules(),
+            copy->prefix_filter().num_rules());
+  EXPECT_NE(&assigned.prefix_filter(), &copy->prefix_filter());
+}
+
+TEST(PrefixFilter, ConcurrentFirstUseCompilesOneFilter) {
+  // Sweep workers reach the filter of a fresh space together.
+  const apps::SystolicObjective objective;
+  const ParameterSpace& s = objective.space();
+  std::vector<const PrefixFilter*> seen(4, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      threads.emplace_back([&, t] { seen[t] = &s.prefix_filter(); });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+  for (const PrefixFilter* filter : seen) {
+    EXPECT_EQ(filter, seen.front());
+  }
+  EXPECT_TRUE(seen.front()->active());
+
+  // A pass generated in parallel on another fresh space, first use inside
+  // the workers, equals the serial reference.
+  const apps::SystolicObjective fresh;
+  const CandidateStream stream(fresh.space_ptr(), /*seed=*/29);
+  ThreadPool pool(4);
+  const auto got = stream.pass_candidates(0, &pool);
+  std::vector<std::uint64_t> reference;
+  for (std::size_t chunk = 0; chunk < stream.num_chunks(); ++chunk) {
+    for (const auto& c : testutil::reference_chunk_candidates(stream, 0,
+                                                              chunk)) {
+      reference.push_back(c.ordinal);
+    }
+  }
+  ASSERT_EQ(got.size(), reference.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].ordinal, reference[i]) << "candidate " << i;
   }
 }
 
