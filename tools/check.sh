@@ -14,15 +14,17 @@
 # pooled-vs-streamed bitwise parity, sentinel round trips, enumerate
 # guards), the level-domain validity + streamed-generation tests
 # (tests/test_level_rules.cpp: compiled rules vs satisfies() and vs the
-# per-index reference loop), the SIMD dispatch-parity + streaming top-k
-# tests (tests/test_simd.cpp), the sweep golden pins
+# per-index reference loop, and the lazily compiled prefix filter), the
+# SIMD dispatch-parity + streaming top-k tests (tests/test_simd.cpp), the
+# sweep golden pins
 # (tests/test_sweep_golden.cpp: suggestions, trace bytes, pool exhaustion)
 # and the warm-start constraint check, re-run with HPB_SIMD forced to every
 # tier this machine can execute; then a ThreadSanitizer build running the
 # concurrency-sensitive
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
 # session manager, line server, recovery/overload/drain, streamed-sweep
-# and streamed-generation thread-count invariance); then a fault-injected
+# and streamed-generation thread-count invariance, the prefix filter that
+# parallel sweep workers compile on first use); then a fault-injected
 # shootout smoke run (HPB_FAIL_RATE=0.2), a CLI crash-resume smoke
 # (journal a run, truncate the journal mid-record, resume, and require
 # the identical history CSV), a tuning-service storm smoke
@@ -50,7 +52,7 @@ cmake -B build-asan -S . -DHPB_SANITIZE=address \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects'
+  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects'
 
 echo
 echo "== ASan, HPB_SIMD forced: dispatch parity under every runnable tier =="
@@ -76,7 +78,7 @@ cmake -B build-tsan -S . -DHPB_SANITIZE=thread \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects'
+  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects'
 
 echo
 echo "== TSan, HPB_SIMD forced: threaded sweeps under every runnable tier =="
