@@ -40,7 +40,11 @@
 // generator is faster. Both paths are timed best-of-reps per pass. The
 // reference derives the pass's Feistel keys per raw index (ordinal_at is
 // the only public entry to the permutation), a few ns of its per-index
-// cost.
+// cost. The row also records the space's prefix filter, which the
+// generator tests every raw index against before its rules: its shape
+// (leading parameters, bits, rules, bytes), its compile time on a fresh
+// space (best of reps; a space compiles it once, on first streamed use),
+// and the share of the sampled raw indices it passes.
 //
 // The JSON records the environment every number depends on: core count,
 // SIMD tier, build type, and the git sha passed in with --git-sha.
@@ -396,16 +400,41 @@ struct GenerationMeasurement {
   std::uint64_t candidates = 0;      // valid candidates across the passes
   std::uint64_t reference_ns = 0;    // per-index loop, best-of-reps per pass
   std::uint64_t generator_ns = 0;    // chunk_columns, best-of-reps per pass
+  std::size_t filter_params = 0;     // leading parameters the filter covers
+  std::uint64_t filter_entries = 0;  // its bits
+  std::size_t filter_rules = 0;      // compiled rules inside the prefix
+  std::size_t filter_bytes = 0;
+  std::uint64_t filter_build_ns = 0;  // first prefix_filter(), best of reps
+  std::uint64_t filter_passed = 0;    // sampled raw indices it passes
 };
 
 GenerationMeasurement measure_generation(std::size_t passes,
                                          std::size_t reps) {
+  GenerationMeasurement m;
+  m.filter_build_ns = ~std::uint64_t{0};
+  for (std::size_t r = 0; r < reps; ++r) {
+    const apps::SystolicObjective fresh;
+    const auto t0 = Clock::now();
+    const space::PrefixFilter& filter = fresh.space().prefix_filter();
+    m.filter_build_ns =
+        std::min(m.filter_build_ns, elapsed_ns(t0, Clock::now()));
+    m.filter_params = filter.num_params();
+    m.filter_entries = filter.entries();
+    m.filter_rules = filter.num_rules();
+    m.filter_bytes = filter.bytes();
+  }
+
   const apps::SystolicObjective objective;
   const space::ParameterSpace& s = objective.space();
   const space::CandidateStream stream(objective.space_ptr(), 0x6E4E);
-  GenerationMeasurement m;
   m.passes = passes;
   m.raw_indices = passes * stream.pass_length();
+  const space::PrefixFilter& filter = s.prefix_filter();
+  for (std::uint64_t pass = 0; pass < passes; ++pass) {
+    for (std::uint64_t raw = 0; raw < stream.pass_length(); ++raw) {
+      m.filter_passed += filter.passes(stream.ordinal_at(pass, raw)) ? 1 : 0;
+    }
+  }
   std::vector<space::CandidateStream::Candidate> reference;
   space::CandidateStream::ChunkColumns block;
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
@@ -461,6 +490,12 @@ double per_index(std::uint64_t ns, std::uint64_t raw) {
          static_cast<double>(std::max<std::uint64_t>(raw, 1));
 }
 
+/// Share of the sampled raw indices the prefix filter passes.
+double filter_pass_rate(const GenerationMeasurement& m) {
+  return static_cast<double>(m.filter_passed) /
+         static_cast<double>(std::max<std::uint64_t>(m.raw_indices, 1));
+}
+
 void append_generation_json(std::string& out, const GenerationMeasurement& m) {
   out += "    {\"space\":\"systolic\"";
   out += ",\"passes\":" + std::to_string(m.passes);
@@ -474,6 +509,12 @@ void append_generation_json(std::string& out, const GenerationMeasurement& m) {
          obs::json_double(static_cast<double>(m.reference_ns) /
                           static_cast<double>(std::max<std::uint64_t>(
                               m.generator_ns, 1)));
+  out += ",\"filter_params\":" + std::to_string(m.filter_params);
+  out += ",\"filter_entries\":" + std::to_string(m.filter_entries);
+  out += ",\"filter_rules\":" + std::to_string(m.filter_rules);
+  out += ",\"filter_bytes\":" + std::to_string(m.filter_bytes);
+  out += ",\"filter_build_ns\":" + std::to_string(m.filter_build_ns);
+  out += ",\"filter_pass_rate\":" + obs::json_double(filter_pass_rate(m));
   out += "}";
 }
 
@@ -612,20 +653,23 @@ int run(bool smoke, std::size_t threads, const std::string& out_path,
     }
   }
 
-  std::printf("%-10s %10s %10s %16s %16s %9s\n", "generate", "passes",
-              "valid", "reference_ns/ix", "generator_ns/ix", "speedup");
+  std::printf("%-10s %10s %10s %16s %16s %9s %16s %12s\n", "generate",
+              "passes", "valid", "reference_ns/ix", "generator_ns/ix",
+              "speedup", "filter_build_us", "filter_pass");
   const GenerationMeasurement generation =
       measure_generation(smoke ? 1 : 8, smoke ? 1 : 5);
   const bool generation_regressed =
       !smoke && generation.generator_ns >= generation.reference_ns;
-  std::printf("%-10s %10zu %10llu %16.1f %16.1f %8.1fx\n", "generate",
-              generation.passes,
+  std::printf("%-10s %10zu %10llu %16.1f %16.1f %8.1fx %16.1f %11.1f%%\n",
+              "generate", generation.passes,
               static_cast<unsigned long long>(generation.candidates),
               per_index(generation.reference_ns, generation.raw_indices),
               per_index(generation.generator_ns, generation.raw_indices),
               static_cast<double>(generation.reference_ns) /
                   static_cast<double>(std::max<std::uint64_t>(
-                      generation.generator_ns, 1)));
+                      generation.generator_ns, 1)),
+              static_cast<double>(generation.filter_build_ns) / 1e3,
+              100.0 * filter_pass_rate(generation));
 
   // Bandwidth ceiling: effective GB/s of the vector sweep at the largest
   // discrete pools. When doubling the pool no longer raises (or slightly
