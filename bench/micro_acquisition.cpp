@@ -35,9 +35,13 @@
 // Feistel passes over the full ~2^34 systolic space, in ns per raw index:
 // the reference per-index loop (CandidateStream::ordinal_at, then
 // configuration_at + satisfies per raw index) against the level-domain
-// generator (CandidateStream::chunk_columns). Both must yield the same
-// candidates in the same order, and a non-smoke run *fails* unless the
-// generator is faster. Both paths are timed best-of-reps per pass. The
+// generator (CandidateStream::chunk_columns) at the active SIMD tier and at
+// the scalar tier. All three must yield the same candidates in the same
+// order, and a non-smoke run *fails* unless the generator is faster than
+// the reference loop and, when the active tier runs a vector generator
+// (AVX-512), faster than the scalar generator too. Every path is timed
+// best-of-reps per pass; the two generator tiers alternate which goes
+// first in each rep, so neither always meets a cold cache alone. The
 // reference derives the pass's Feistel keys per raw index (ordinal_at is
 // the only public entry to the permutation), a few ns of its per-index
 // cost. The row also records the space's prefix filter, which the
@@ -399,7 +403,9 @@ struct GenerationMeasurement {
   std::uint64_t raw_indices = 0;     // raw indices visited per path
   std::uint64_t candidates = 0;      // valid candidates across the passes
   std::uint64_t reference_ns = 0;    // per-index loop, best-of-reps per pass
-  std::uint64_t generator_ns = 0;    // chunk_columns, best-of-reps per pass
+  std::uint64_t generator_ns = 0;    // chunk_columns at the active tier
+  std::uint64_t scalar_ns = 0;       // chunk_columns at the scalar tier
+  SimdTier generator_tier = SimdTier::kScalar;  // what the active tier ran
   std::size_t filter_params = 0;     // leading parameters the filter covers
   std::uint64_t filter_entries = 0;  // its bits
   std::size_t filter_rules = 0;      // compiled rules inside the prefix
@@ -407,6 +413,39 @@ struct GenerationMeasurement {
   std::uint64_t filter_build_ns = 0;  // first prefix_filter(), best of reps
   std::uint64_t filter_passed = 0;    // sampled raw indices it passes
 };
+
+/// chunk_columns over every chunk of `pass` at `tier`, in ns (only the
+/// calls are timed); exits the bench unless the candidates equal
+/// `reference` one by one.
+std::uint64_t time_generation(
+    const space::CandidateStream& stream, std::uint64_t pass, SimdTier tier,
+    const std::vector<space::CandidateStream::Candidate>& reference,
+    space::CandidateStream::ChunkColumns& block) {
+  std::size_t next = 0;  // position in `reference`
+  bool same = true;
+  std::uint64_t ns = 0;
+  for (std::size_t chunk = 0; chunk < stream.num_chunks(); ++chunk) {
+    const auto c0 = Clock::now();
+    stream.chunk_columns(pass, chunk, block, tier);
+    ns += elapsed_ns(c0, Clock::now());
+    // Cross-check outside the timed region.
+    for (std::size_t t = 0; t < block.size() && same; ++t, ++next) {
+      same = next < reference.size() &&
+             block.ordinal(t) == reference[next].ordinal &&
+             block.pass_index(t) == reference[next].pass_index &&
+             block.candidate(t).config == reference[next].config;
+    }
+  }
+  if (!same || next != reference.size()) {
+    std::fprintf(stderr,
+                 "FATAL: level-domain generator at the %s tier diverges from "
+                 "the reference loop on pass %llu\n",
+                 std::string(simd_tier_name(tier)).c_str(),
+                 static_cast<unsigned long long>(pass));
+    std::exit(1);
+  }
+  return ns;
+}
 
 GenerationMeasurement measure_generation(std::size_t passes,
                                          std::size_t reps) {
@@ -454,33 +493,21 @@ GenerationMeasurement measure_generation(std::size_t passes,
     m.reference_ns += best;
     m.candidates += reference.size();
 
-    best = ~std::uint64_t{0};
+    // The active tier's generator against the scalar one, matched
+    // candidate by candidate against the reference on every rep.
+    const SimdTier tiers[] = {active_simd_tier(), SimdTier::kScalar};
+    std::uint64_t best_tier[] = {~std::uint64_t{0}, ~std::uint64_t{0}};
     for (std::size_t r = 0; r < reps; ++r) {
-      std::size_t next = 0;  // position in `reference`
-      bool same = true;
-      std::uint64_t ns = 0;
-      for (std::size_t chunk = 0; chunk < stream.num_chunks(); ++chunk) {
-        const auto c0 = Clock::now();
-        stream.chunk_columns(pass, chunk, block);
-        ns += elapsed_ns(c0, Clock::now());
-        // Cross-check outside the timed region.
-        for (std::size_t t = 0; t < block.size() && same; ++t, ++next) {
-          same = next < reference.size() &&
-                 block.ordinal(t) == reference[next].ordinal &&
-                 block.pass_index(t) == reference[next].pass_index &&
-                 block.candidate(t).config == reference[next].config;
-        }
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::size_t which = (r + k) % 2;
+        best_tier[which] = std::min(
+            best_tier[which],
+            time_generation(stream, pass, tiers[which], reference, block));
       }
-      if (!same || next != reference.size()) {
-        std::fprintf(stderr,
-                     "FATAL: level-domain generator diverges from the "
-                     "reference loop on pass %llu\n",
-                     static_cast<unsigned long long>(pass));
-        std::exit(1);
-      }
-      best = std::min(best, ns);
     }
-    m.generator_ns += best;
+    m.generator_ns += best_tier[0];
+    m.scalar_ns += best_tier[1];
+    m.generator_tier = stream.generation_tier(tiers[0]);
   }
   return m;
 }
@@ -507,6 +534,14 @@ void append_generation_json(std::string& out, const GenerationMeasurement& m) {
          obs::json_double(per_index(m.generator_ns, m.raw_indices));
   out += ",\"speedup\":" +
          obs::json_double(static_cast<double>(m.reference_ns) /
+                          static_cast<double>(std::max<std::uint64_t>(
+                              m.generator_ns, 1)));
+  out += ",\"generator_tier\":\"" +
+         std::string(simd_tier_name(m.generator_tier)) + "\"";
+  out += ",\"scalar_ns_per_index\":" +
+         obs::json_double(per_index(m.scalar_ns, m.raw_indices));
+  out += ",\"speedup_vs_scalar\":" +
+         obs::json_double(static_cast<double>(m.scalar_ns) /
                           static_cast<double>(std::max<std::uint64_t>(
                               m.generator_ns, 1)));
   out += ",\"filter_params\":" + std::to_string(m.filter_params);
@@ -653,23 +688,29 @@ int run(bool smoke, std::size_t threads, const std::string& out_path,
     }
   }
 
-  std::printf("%-10s %10s %10s %16s %16s %9s %16s %12s\n", "generate",
-              "passes", "valid", "reference_ns/ix", "generator_ns/ix",
-              "speedup", "filter_build_us", "filter_pass");
+  std::printf("%-10s %8s %8s %16s %16s %16s %9s %16s %12s\n", "generate",
+              "passes", "valid", "reference_ns/ix", "scalar_ns/ix",
+              "generator_ns/ix", "speedup", "filter_build_us", "filter_pass");
   const GenerationMeasurement generation =
       measure_generation(smoke ? 1 : 8, smoke ? 1 : 5);
   const bool generation_regressed =
       !smoke && generation.generator_ns >= generation.reference_ns;
-  std::printf("%-10s %10zu %10llu %16.1f %16.1f %8.1fx %16.1f %11.1f%%\n",
+  const bool vector_generation_regressed =
+      !smoke && generation.generator_tier != SimdTier::kScalar &&
+      generation.generator_ns >= generation.scalar_ns;
+  std::printf("%-10s %8zu %8llu %16.1f %16.1f %16.1f %8.1fx %16.1f %11.1f%%\n",
               "generate", generation.passes,
               static_cast<unsigned long long>(generation.candidates),
               per_index(generation.reference_ns, generation.raw_indices),
+              per_index(generation.scalar_ns, generation.raw_indices),
               per_index(generation.generator_ns, generation.raw_indices),
               static_cast<double>(generation.reference_ns) /
                   static_cast<double>(std::max<std::uint64_t>(
                       generation.generator_ns, 1)),
               static_cast<double>(generation.filter_build_ns) / 1e3,
               100.0 * filter_pass_rate(generation));
+  std::printf("generator tier: %s\n",
+              std::string(simd_tier_name(generation.generator_tier)).c_str());
 
   // Bandwidth ceiling: effective GB/s of the vector sweep at the largest
   // discrete pools. When doubling the pool no longer raises (or slightly
@@ -733,6 +774,14 @@ int run(bool smoke, std::size_t threads, const std::string& out_path,
     std::fprintf(stderr,
                  "FATAL: level-domain candidate generation not faster than "
                  "the reference per-index loop\n");
+    return 1;
+  }
+  if (vector_generation_regressed) {
+    std::fprintf(stderr,
+                 "FATAL: the %s candidate generator is not faster than the "
+                 "scalar one\n",
+                 std::string(simd_tier_name(generation.generator_tier))
+                     .c_str());
     return 1;
   }
   return 0;

@@ -1,11 +1,5 @@
 #include "core/simd.hpp"
 
-#include <atomic>
-#include <cstdlib>
-#include <string>
-
-#include "common/error.hpp"
-
 #if defined(HPB_SIMD_AVX2)
 #include <immintrin.h>
 #endif
@@ -46,6 +40,8 @@ void score_block_avx2(const double* log_good, const double* log_bad,
                       const std::size_t* offsets,
                       const std::uint32_t* const* cols, std::size_t num_params,
                       std::size_t begin, std::size_t end, double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   std::size_t j = begin;
   for (; j + 4 <= end; j += 4) {
     __m256d lg = _mm256_setzero_pd();
@@ -55,8 +51,12 @@ void score_block_avx2(const double* log_good, const double* log_bad,
           reinterpret_cast<const __m128i*>(cols[i] + j));
       const double* good_base = log_good + offsets[i];
       const double* bad_base = log_bad + offsets[i];
-      lg = _mm256_add_pd(lg, _mm256_i32gather_pd(good_base, idx, 8));
-      lb = _mm256_add_pd(lb, _mm256_i32gather_pd(bad_base, idx, 8));
+      // The masked form with a zero source and every lane enabled is the
+      // same vgatherdpd, without the unmasked form's undefined source.
+      lg = _mm256_add_pd(lg, _mm256_mask_i32gather_pd(zero, good_base, idx,
+                                                      all, 8));
+      lb = _mm256_add_pd(lb, _mm256_mask_i32gather_pd(zero, bad_base, idx,
+                                                      all, 8));
     }
     _mm256_storeu_pd(out + (j - begin), _mm256_sub_pd(lg, lb));
   }
@@ -98,93 +98,7 @@ void score_block_neon(const double* log_good, const double* log_bad,
 }
 #endif  // HPB_SIMD_NEON
 
-/// HPB_SIMD parse + availability check; strict like every other HPB_ env.
-SimdTier resolve_active_tier() {
-  const char* env = std::getenv("HPB_SIMD");
-  if (env == nullptr || *env == '\0') {
-    return detected_simd_tier();
-  }
-  const std::string value(env);
-  SimdTier tier = SimdTier::kScalar;
-  if (value == "off") {
-    tier = SimdTier::kScalar;
-  } else if (value == "avx2") {
-    tier = SimdTier::kAvx2;
-  } else if (value == "neon") {
-    tier = SimdTier::kNeon;
-  } else {
-    HPB_REQUIRE(false, "HPB_SIMD must be off, avx2, or neon; got '" + value +
-                           "'");
-  }
-  HPB_REQUIRE(simd_tier_available(tier),
-              "HPB_SIMD=" + value +
-                  " requests a SIMD tier this build or CPU cannot run "
-                  "(detected tier: " +
-                  std::string(simd_tier_name(detected_simd_tier())) + ")");
-  return tier;
-}
-
-/// Cached HPB_SIMD decision; -1 = not resolved yet. Resolution is
-/// idempotent, so a first-use race at worst resolves twice.
-std::atomic<int> g_active_tier{-1};
-
 }  // namespace
-
-std::string_view simd_tier_name(SimdTier tier) noexcept {
-  switch (tier) {
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kNeon:
-      return "neon";
-    case SimdTier::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-bool simd_tier_available(SimdTier tier) noexcept {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return true;
-    case SimdTier::kAvx2:
-#if defined(HPB_SIMD_AVX2)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case SimdTier::kNeon:
-#if defined(HPB_SIMD_NEON)
-      return true;  // baseline on every aarch64 CPU
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-SimdTier detected_simd_tier() noexcept {
-  if (simd_tier_available(SimdTier::kAvx2)) {
-    return SimdTier::kAvx2;
-  }
-  if (simd_tier_available(SimdTier::kNeon)) {
-    return SimdTier::kNeon;
-  }
-  return SimdTier::kScalar;
-}
-
-SimdTier active_simd_tier() {
-  const int cached = g_active_tier.load(std::memory_order_acquire);
-  if (cached >= 0) {
-    return static_cast<SimdTier>(cached);
-  }
-  const SimdTier tier = resolve_active_tier();
-  g_active_tier.store(static_cast<int>(tier), std::memory_order_release);
-  return tier;
-}
-
-void refresh_simd_tier() {
-  g_active_tier.store(-1, std::memory_order_release);
-}
 
 void score_block(SimdTier tier, const double* log_good, const double* log_bad,
                  const std::size_t* offsets, const std::uint32_t* const* cols,
@@ -196,6 +110,7 @@ void score_block(SimdTier tier, const double* log_good, const double* log_bad,
   switch (tier) {
 #if defined(HPB_SIMD_AVX2)
     case SimdTier::kAvx2:
+    case SimdTier::kAvx512:  // no wider kernel: AVX-512 CPUs run AVX2
       score_block_avx2(log_good, log_bad, offsets, cols, num_params, begin,
                        end, out);
       return;

@@ -9,53 +9,32 @@
 // scalar reference for every tier. Reduction order never changes; only
 // how many candidates are in flight at once does.
 //
-// Tier selection is a runtime decision: kernels are compiled per-ISA
-// behind compile-time gates (CMake probes the compiler; see
-// HPB_SIMD_AVX2 / HPB_SIMD_NEON) and picked per-process by CPU detection,
-// overridable with HPB_SIMD=off|avx2|neon (strict: requesting a tier the
-// binary or CPU cannot run is an error, not a silent fallback).
+// The tier itself (SimdTier, detection, the strict HPB_SIMD override) is
+// decided in common/simd_tier.hpp, where streamed candidate generation
+// reads it too; it is re-exported here for the sweep's callers. This
+// layer has no AVX-512 kernel: at kAvx512 it runs its AVX2 one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
+
+#include "common/simd_tier.hpp"
 
 namespace hpb::core {
 
-/// Vector widths the sweep kernel exists for. kScalar is the reference
-/// path; every other tier must match it bit for bit.
-enum class SimdTier {
-  kScalar = 0,
-  kAvx2 = 1,  // x86-64: 4 candidates per iteration via vgatherdpd
-  kNeon = 2,  // aarch64: 2 candidates per iteration, paired loads
-};
-
-/// Stable lowercase tier name ("scalar", "avx2", "neon") for traces,
-/// bench JSON, and error messages.
-[[nodiscard]] std::string_view simd_tier_name(SimdTier tier) noexcept;
-
-/// True when this binary carries the tier's kernel AND the running CPU
-/// can execute it. kScalar is always runnable.
-[[nodiscard]] bool simd_tier_available(SimdTier tier) noexcept;
-
-/// Best available tier on this machine (hardware detection only, no env).
-[[nodiscard]] SimdTier detected_simd_tier() noexcept;
-
-/// Tier the sweeps actually use: detected_simd_tier() unless HPB_SIMD
-/// overrides it. Parsed strictly on first use and cached; an unknown
-/// value or an unavailable tier throws hpb::Error.
-[[nodiscard]] SimdTier active_simd_tier();
-
-/// Drop the cached HPB_SIMD decision so the next active_simd_tier() call
-/// re-reads the environment. Test hook for in-process setenv overrides.
-void refresh_simd_tier();
+using hpb::active_simd_tier;
+using hpb::detected_simd_tier;
+using hpb::refresh_simd_tier;
+using hpb::simd_tier_available;
+using hpb::simd_tier_name;
+using hpb::SimdTier;
 
 /// Score candidates [begin, end) of a column-indexed pool into
 /// out[0 .. end-begin). cols[i] points at parameter i's per-candidate
 /// index column; log_good / log_bad are the flat per-parameter score
 /// tables and offsets[i] the start of parameter i's rows. All tiers
 /// produce bitwise-identical doubles (see file comment); the tier only
-/// changes throughput.
+/// changes throughput. kAvx512 runs the AVX2 kernel.
 void score_block(SimdTier tier, const double* log_good, const double* log_bad,
                  const std::size_t* offsets, const std::uint32_t* const* cols,
                  std::size_t num_params, std::size_t begin, std::size_t end,

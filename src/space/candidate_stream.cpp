@@ -6,12 +6,6 @@
 #include "common/rng.hpp"
 
 namespace hpb::space {
-namespace {
-
-/// Raw indices permuted ahead of validation (see chunk_columns).
-constexpr std::size_t kPermuteBlock = 256;
-
-}  // namespace
 
 CandidateStream::Candidate CandidateStream::ChunkColumns::candidate(
     std::size_t t) const {
@@ -44,6 +38,12 @@ void CandidateStream::ChunkColumns::push(const std::uint32_t* levels,
   pass_index_[size_] = pass_index;
   ordinal_[size_] = ordinal;
   ++size_;
+}
+
+void CandidateStream::ChunkColumns::reserve(std::size_t rows) {
+  while (rows_ < rows) {
+    grow();
+  }
 }
 
 void CandidateStream::ChunkColumns::grow() {
@@ -127,27 +127,49 @@ std::uint64_t CandidateStream::ordinal_at(std::uint64_t pass,
   return permute(keys_for(pass), raw);
 }
 
+SimdTier CandidateStream::generation_tier(SimdTier tier) const noexcept {
+#if defined(HPB_SIMD_AVX512)
+  if (tier == SimdTier::kAvx512 && raw_size_ <= RuleTables::kMaxExactSize) {
+    return SimdTier::kAvx512;
+  }
+#else
+  (void)tier;
+#endif
+  return SimdTier::kScalar;
+}
+
 void CandidateStream::chunk_columns(std::uint64_t pass, std::size_t chunk,
-                                    ChunkColumns& out) const {
+                                    ChunkColumns& out, SimdTier tier) const {
   HPB_REQUIRE(chunk < num_chunks_, "chunk_columns: chunk out of range");
-  const std::size_t num_params = space_->num_params();
-  out.reset(num_params);
+  out.reset(space_->num_params());
   const FeistelKeys keys = keys_for(pass);
   const std::uint64_t begin = static_cast<std::uint64_t>(chunk) * config_.chunk;
   const std::uint64_t end = std::min<std::uint64_t>(
       begin + config_.chunk, pass_length_);
+  if (generation_tier(tier) == SimdTier::kAvx512) {
+#if defined(HPB_SIMD_AVX512)
+    generate_avx512(keys, begin, end, out);
+    return;
+#endif
+  }
+  generate_scalar(keys, begin, end, out);
+}
+
+void CandidateStream::generate_scalar(const FeistelKeys& keys,
+                                      std::uint64_t begin, std::uint64_t end,
+                                      ChunkColumns& out) const {
   const PrefixFilter& filter = space_->prefix_filter();
-  LevelBuffer buffer(num_params);
+  LevelBuffer buffer(space_->num_params());
   std::uint32_t* levels = buffer.data();
-  std::uint64_t ordinals[kPermuteBlock];
-  std::uint32_t kept[kPermuteBlock];  // block offsets left to validate
-  for (std::uint64_t block = begin; block < end; block += kPermuteBlock) {
+  std::uint64_t ordinals[kGenerateBlock];
+  std::uint32_t kept[kGenerateBlock];  // block offsets left to validate
+  for (std::uint64_t block = begin; block < end; block += kGenerateBlock) {
     // Permute a whole block before validating any of it: the Feistel rounds
     // of neighbouring raw indices are independent, so this loop keeps
     // several in flight, where interleaving them with the rules' hard to
     // predict rejections would serialize them.
     const std::size_t count =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kPermuteBlock,
+        static_cast<std::size_t>(std::min<std::uint64_t>(kGenerateBlock,
                                                          end - block));
     for (std::size_t j = 0; j < count; ++j) {
       ordinals[j] = permute(keys, block + j);

@@ -14,6 +14,15 @@
 // streamed candidate is canonical and constraint-clean by construction, and
 // no Configuration exists for a rejected index.
 //
+// At the AVX-512 SIMD tier (common/simd_tier.hpp) every stage runs on
+// eight raw indices at once: the Feistel rounds in 64-bit lanes, the
+// filter's bit test by gather, and the decode and the compiled rules of
+// eight filter survivors together (ParameterSpace::rule_tables). Each lane
+// computes exactly what the scalar path computes for its index, so the
+// output is the same bit for bit; the scalar path is the reference, and
+// the only one on other tiers and on spaces past the vector decode's
+// exactness bound (RuleTables::kMaxExactSize).
+//
 // Determinism contract: chunk_candidates(pass, chunk) is a pure function of
 // (space, seed, pass, chunk) with a fixed chunk size, so generating a pass
 // with 1 thread or N threads yields the same candidate sequence, and a
@@ -24,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/simd_tier.hpp"
 #include "common/thread_pool.hpp"
 #include "space/parameter_space.hpp"
 
@@ -92,6 +102,8 @@ class CandidateStream {
               std::uint64_t ordinal);
     /// Double the rows of every column, keeping the candidates held.
     void grow();
+    /// Grow until every column holds at least `rows` rows.
+    void reserve(std::size_t rows);
 
     std::size_t size_ = 0;
     std::size_t rows_ = 0;                // capacity of each column
@@ -129,10 +141,16 @@ class CandidateStream {
                                          std::uint64_t raw) const;
 
   /// Valid candidates of one chunk of one pass, in raw-index order, as
-  /// level columns. Pure in (space, seed, pass, chunk): thread-count
-  /// independent.
-  void chunk_columns(std::uint64_t pass, std::size_t chunk,
-                     ChunkColumns& out) const;
+  /// level columns. Pure in (space, seed, pass, chunk): thread-count and
+  /// tier independent; `tier` (which must be runnable) only picks the
+  /// generator, see generation_tier().
+  void chunk_columns(std::uint64_t pass, std::size_t chunk, ChunkColumns& out,
+                     SimdTier tier = active_simd_tier()) const;
+
+  /// The generator chunk_columns() runs at `tier`: kAvx512 when this
+  /// binary carries the AVX-512 generator, `tier` is kAvx512 and the cross
+  /// product is within RuleTables::kMaxExactSize; kScalar otherwise.
+  [[nodiscard]] SimdTier generation_tier(SimdTier tier) const noexcept;
 
   /// The same candidates with their Configurations built.
   void chunk_candidates(std::uint64_t pass, std::size_t chunk,
@@ -156,6 +174,9 @@ class CandidateStream {
     std::uint64_t round[4] = {0, 0, 0, 0};
   };
 
+  /// Raw indices permuted ahead of validation (see generate_scalar).
+  static constexpr std::size_t kGenerateBlock = 256;
+
   [[nodiscard]] FeistelKeys keys_for(std::uint64_t pass) const;
   [[nodiscard]] std::uint64_t feistel_once(const FeistelKeys& keys,
                                            std::uint64_t v) const noexcept;
@@ -163,6 +184,14 @@ class CandidateStream {
   /// Feistel permutation cycle-walked back into range.
   [[nodiscard]] std::uint64_t permute(const FeistelKeys& keys,
                                       std::uint64_t raw) const noexcept;
+
+  /// chunk_columns() over raw indices [begin, end) of the pass keyed by
+  /// `keys`, one index at a time (the reference) or eight at a time
+  /// (candidate_stream_avx512.cpp; defined only behind HPB_SIMD_AVX512).
+  void generate_scalar(const FeistelKeys& keys, std::uint64_t begin,
+                       std::uint64_t end, ChunkColumns& out) const;
+  void generate_avx512(const FeistelKeys& keys, std::uint64_t begin,
+                       std::uint64_t end, ChunkColumns& out) const;
 
   SpacePtr space_;
   std::uint64_t seed_ = 0;

@@ -122,8 +122,7 @@ void LevelRules::compile() {
     decode(i);
   }
 
-  const std::lock_guard lock(filter_cache_.mutex);
-  filter_cache_.filter.reset();
+  filter_cache_.drop();
 }
 
 const PrefixFilter& LevelRules::prefix_filter() const {
@@ -133,6 +132,47 @@ const PrefixFilter& LevelRules::prefix_filter() const {
         std::make_unique<const PrefixFilter>(compile_prefix_filter());
   }
   return *filter_cache_.filter;
+}
+
+const RuleTables& LevelRules::rule_tables() const {
+  const std::lock_guard lock(filter_cache_.mutex);
+  if (filter_cache_.tables == nullptr) {
+    filter_cache_.tables =
+        std::make_unique<const RuleTables>(compile_rule_tables());
+  }
+  return *filter_cache_.tables;
+}
+
+RuleTables LevelRules::compile_rule_tables() const {
+  RuleTables tables;
+  if (block_.empty()) {
+    return tables;  // no ordinals to decode
+  }
+  const std::size_t n = radix_.size();
+  std::vector<std::uint64_t> stride(n + 1, 1);
+  for (std::size_t i = n; i-- > 0;) {
+    stride[i] = stride[i + 1] * radix_[i];
+  }
+  for (const std::uint64_t s : stride) {
+    tables.stride.push_back(static_cast<double>(s));
+  }
+  for (const std::uint32_t r : radix_) {
+    tables.radix.push_back(static_cast<double>(r));
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (parent_[i] != kNoParent) {
+      tables.conditionals.push_back({i, parent_[i], mask_[i]});
+    }
+  }
+  for (const Divisibility& d : divisibility_) {
+    tables.divisibility.push_back(
+        {d.divisor, d.dividend, d.table, radix_[d.dividend]});
+  }
+  tables.activates.assign(activates_.begin(), activates_.end());
+  tables.activates.resize(activates_.size() + RuleTables::kGatherPad, 0);
+  tables.accept.assign(accept_.begin(), accept_.end());
+  tables.accept.resize(accept_.size() + RuleTables::kGatherPad, 0);
+  return tables;
 }
 
 PrefixFilter LevelRules::compile_prefix_filter() const {

@@ -27,6 +27,12 @@
 // bit test, before any level is decoded or any rule branch is taken. It is
 // compiled on first use, once per set of rules, and dropped whenever a
 // parameter or rule is added.
+//
+// Beside the filter, and under the same lazy cache, sit the RuleTables:
+// the same rules laid out for a generator that checks eight candidates at
+// once (CandidateStream's AVX-512 path): strides as doubles, each
+// conditional's parent and mask, each divisibility rule's operands, and
+// the activation and accept tables as byte arrays padded for gathers.
 #pragma once
 
 #include <cstddef>
@@ -115,6 +121,11 @@ class PrefixFilter {
     return bits_.size() * sizeof(std::uint64_t);
   }
 
+  /// The bitset as 64-bit words: bit p is bit p % 64 of word p / 64.
+  [[nodiscard]] const std::uint64_t* words() const noexcept {
+    return bits_.data();
+  }
+
   /// False when a rule over the prefix rejects the configuration at
   /// `ordinal` (an active filter; `ordinal` below the cross product).
   [[nodiscard]] bool passes(std::uint64_t ordinal) const noexcept {
@@ -131,6 +142,46 @@ class PrefixFilter {
   std::size_t num_rules_ = 0;
   std::uint64_t entries_ = 0;
   std::uint64_t passed_ = 0;
+};
+
+/// The compiled rules laid out for lane-parallel evaluation (see the file
+/// comment). Built by LevelRules::rule_tables() for decodable spaces (all
+/// discrete, cross product within 64 bits); empty otherwise. Levels
+/// decoded from strides held as doubles are exact while the cross product
+/// stays within kMaxExactSize: every ordinal and stride is then an exact
+/// double, and a division rounded toward minus infinity cannot reach the
+/// next integer, so its floor is the exact quotient.
+struct RuleTables {
+  static constexpr std::uint64_t kMaxExactSize = 1ULL << 53;
+  /// Zero bytes after each byte table, so a 32-bit gather at its last
+  /// entry stays inside it.
+  static constexpr std::size_t kGatherPad = 3;
+
+  /// A conditional parameter: active iff its parent is active and
+  /// activates[mask + parent level] != 0.
+  struct Conditional {
+    std::uint32_t param = 0;
+    std::uint32_t parent = 0;
+    std::uint64_t mask = 0;
+  };
+  /// A divisibility rule: accept[table + level(a) * radix_b + level(b)]
+  /// != 0, or either side inactive.
+  struct Divisibility {
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::uint64_t table = 0;
+    std::uint64_t radix_b = 0;
+  };
+
+  /// stride[i]: product of the level counts of parameters i..n-1
+  /// (stride[0]: the cross product; stride[n]: 1), so level i is
+  /// floor(ordinal / stride[i+1]) - floor(ordinal / stride[i]) * radix[i].
+  std::vector<double> stride;
+  std::vector<double> radix;
+  std::vector<Conditional> conditionals;  // parameter order
+  std::vector<Divisibility> divisibility;  // registration order
+  std::vector<std::uint8_t> activates;     // activation masks, padded
+  std::vector<std::uint8_t> accept;        // accept tables, padded
 };
 
 /// A space's structural validity over level indices (see the file
@@ -206,6 +257,12 @@ class LevelRules {
   /// lies in the prefix. The reference stays valid until the next add_*.
   [[nodiscard]] const PrefixFilter& prefix_filter() const;
 
+  /// The rules laid out for lane-parallel evaluation, compiled like
+  /// prefix_filter(): once, on the first call after the last add_*, and
+  /// safe to call from several threads at once. The reference stays valid
+  /// until the next add_*.
+  [[nodiscard]] const RuleTables& rule_tables() const;
+
  private:
   static constexpr std::uint32_t kActivityRule = 0xFFFFFFFFu;
 
@@ -257,6 +314,9 @@ class LevelRules {
   /// Compile the prefix filter of the current rules (prefix_filter()).
   [[nodiscard]] PrefixFilter compile_prefix_filter() const;
 
+  /// Lay out the current rules for rule_tables().
+  [[nodiscard]] RuleTables compile_rule_tables() const;
+
   std::vector<std::uint32_t> radix_;   // levels per parameter (0: continuous)
   std::vector<std::uint32_t> parent_;  // kNoParent when unconditional
   std::vector<std::uint32_t> mask_;    // offset of the activation mask
@@ -277,21 +337,26 @@ class LevelRules {
   std::vector<Rule> rules_;                  // evaluation order
   std::vector<std::uint32_t> decode_order_;  // rule prefixes, then the rest
 
-  /// prefix_filter()'s result, compiled on first use. A copy of the rules
-  /// starts without one and compiles its own.
+  /// prefix_filter()'s and rule_tables()' results, each compiled on first
+  /// use. A copy of the rules starts without them and compiles its own.
   struct FilterCache {
     FilterCache() = default;
     FilterCache(const FilterCache& /*other*/) noexcept {}
     FilterCache& operator=(const FilterCache& other) {
       if (this != &other) {
-        const std::lock_guard lock(mutex);
-        filter.reset();
+        drop();
       }
       return *this;
+    }
+    void drop() {
+      const std::lock_guard lock(mutex);
+      filter.reset();
+      tables.reset();
     }
 
     std::mutex mutex;
     std::unique_ptr<const PrefixFilter> filter;  // guarded by mutex
+    std::unique_ptr<const RuleTables> tables;    // guarded by mutex
   };
   mutable FilterCache filter_cache_;
 };

@@ -16,7 +16,8 @@
 // streamed generation all check the same compiled rules, and only opaque
 // add_constraint() predicates need a Configuration. Streamed generation
 // first tests each ordinal against prefix_filter(), the rules over the
-// leading parameters compiled once per space into a bitset.
+// leading parameters compiled once per space into a bitset; its AVX-512
+// path reads the same rules from rule_tables(), compiled beside it.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +111,20 @@ class ParameterSpace {
   /// cross product fits in 64 bits; `ordinal` below it.
   [[nodiscard]] bool accepts_ordinal(std::uint64_t ordinal,
                                      std::uint32_t* levels) const {
-    return level_rules_.accepts(ordinal, levels) &&
-           (constraints_.empty() ||
-            satisfies_predicates(configuration_from_levels(levels)));
+    return level_rules_.accepts(ordinal, levels) && accepts_predicates(levels);
+  }
+
+  /// True when opaque add_constraint() predicates are registered.
+  [[nodiscard]] bool has_predicates() const noexcept {
+    return !constraints_.empty();
+  }
+
+  /// The opaque predicates on the configuration holding
+  /// levels[0 .. num_params()): true when none are registered, and a
+  /// Configuration is built only when some are.
+  [[nodiscard]] bool accepts_predicates(const std::uint32_t* levels) const {
+    return constraints_.empty() ||
+           satisfies_predicates(configuration_from_levels(levels));
   }
 
   /// The compiled rules over the space's leading parameters as one bit per
@@ -123,6 +135,13 @@ class ParameterSpace {
   /// rule lies in the prefix.
   [[nodiscard]] const PrefixFilter& prefix_filter() const {
     return level_rules_.prefix_filter();
+  }
+
+  /// The compiled rules laid out for lane-parallel evaluation (RuleTables
+  /// in space/level_rules.hpp), cached beside prefix_filter() under the
+  /// same rules: compiled once, on first use, and thread-safe.
+  [[nodiscard]] const RuleTables& rule_tables() const {
+    return level_rules_.rule_tables();
   }
 
   /// True when the space has at least one conditional parameter.

@@ -1,5 +1,5 @@
-// Runtime SIMD dispatch (core/simd.hpp) and the streaming table top-k
-// (core/acquisition.hpp):
+// Runtime SIMD dispatch (common/simd_tier.hpp, core/simd.hpp) and the
+// streaming table top-k (core/acquisition.hpp):
 //   - tier naming, hardware detection, and the strict HPB_SIMD override
 //     (unknown values and unavailable tiers throw instead of silently
 //     falling back);
@@ -39,43 +39,8 @@ using space::Configuration;
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Every tier this binary can actually run (scalar always; vector tiers
-/// when compiled in AND supported by the CPU).
-std::vector<SimdTier> available_tiers() {
-  std::vector<SimdTier> tiers{SimdTier::kScalar};
-  for (SimdTier t : {SimdTier::kAvx2, SimdTier::kNeon}) {
-    if (simd_tier_available(t)) {
-      tiers.push_back(t);
-    }
-  }
-  return tiers;
-}
-
-/// Restores HPB_SIMD (and the cached tier decision) no matter how a test
-/// exits, so override tests cannot leak into the rest of the binary.
-class SimdEnvGuard {
- public:
-  SimdEnvGuard() {
-    if (const char* old = std::getenv("HPB_SIMD")) {
-      saved_ = old;
-    }
-  }
-  ~SimdEnvGuard() {
-    if (saved_.has_value()) {
-      ::setenv("HPB_SIMD", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("HPB_SIMD");
-    }
-    refresh_simd_tier();
-  }
-  void set(const std::string& value) {
-    ::setenv("HPB_SIMD", value.c_str(), 1);
-    refresh_simd_tier();
-  }
-
- private:
-  std::optional<std::string> saved_;
-};
+using testutil::runnable_simd_tiers;
+using testutil::SimdEnvGuard;
 
 /// Deterministic objective over any all-discrete space.
 double toy_value(const Configuration& c, std::size_t j) {
@@ -114,14 +79,25 @@ TEST(SimdDispatch, TierNamesDetectionAndAvailability) {
   EXPECT_EQ(simd_tier_name(SimdTier::kScalar), "scalar");
   EXPECT_EQ(simd_tier_name(SimdTier::kAvx2), "avx2");
   EXPECT_EQ(simd_tier_name(SimdTier::kNeon), "neon");
+  EXPECT_EQ(simd_tier_name(SimdTier::kAvx512), "avx512");
   EXPECT_TRUE(simd_tier_available(SimdTier::kScalar));
   // The detected tier must be runnable, and the active tier (no override
   // in a normal test environment) must be too.
   EXPECT_TRUE(simd_tier_available(detected_simd_tier()));
   EXPECT_TRUE(simd_tier_available(active_simd_tier()));
-  // At most one vector tier exists per architecture.
+  // At most one vector family exists per architecture.
   EXPECT_FALSE(simd_tier_available(SimdTier::kAvx2) &&
                simd_tier_available(SimdTier::kNeon));
+  EXPECT_FALSE(simd_tier_available(SimdTier::kAvx512) &&
+               simd_tier_available(SimdTier::kNeon));
+  // AVX-512 runs the sweep's AVX2 kernel, so it implies AVX2, and
+  // detection picks the widest tier.
+  if (simd_tier_available(SimdTier::kAvx512)) {
+    EXPECT_TRUE(simd_tier_available(SimdTier::kAvx2));
+    EXPECT_EQ(detected_simd_tier(), SimdTier::kAvx512);
+  } else if (simd_tier_available(SimdTier::kAvx2)) {
+    EXPECT_EQ(detected_simd_tier(), SimdTier::kAvx2);
+  }
 }
 
 TEST(SimdDispatch, EnvOverrideIsStrictAndRefreshable) {
@@ -129,18 +105,21 @@ TEST(SimdDispatch, EnvOverrideIsStrictAndRefreshable) {
   guard.set("off");
   EXPECT_EQ(active_simd_tier(), SimdTier::kScalar);
   // Forcing an available vector tier selects it.
-  for (SimdTier tier : available_tiers()) {
+  for (SimdTier tier : runnable_simd_tiers()) {
     if (tier == SimdTier::kScalar) {
       continue;
     }
     guard.set(std::string(simd_tier_name(tier)));
     EXPECT_EQ(active_simd_tier(), tier);
   }
-  // Unknown values are an error, not a fallback.
-  guard.set("sse9");
-  EXPECT_THROW((void)active_simd_tier(), Error);
+  // Unknown values are an error, not a fallback; matching is exact.
+  for (const char* value : {"sse9", "AVX512", "avx-512", "avx512f", "avx5",
+                            "avx512 ", "scalar"}) {
+    guard.set(value);
+    EXPECT_THROW((void)active_simd_tier(), Error) << "'" << value << "'";
+  }
   // So is a tier this build/CPU cannot run.
-  for (SimdTier tier : {SimdTier::kAvx2, SimdTier::kNeon}) {
+  for (SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512, SimdTier::kNeon}) {
     if (!simd_tier_available(tier)) {
       guard.set(std::string(simd_tier_name(tier)));
       EXPECT_THROW((void)active_simd_tier(), Error)
@@ -156,7 +135,7 @@ TEST(SimdDispatch, EnvOverrideIsStrictAndRefreshable) {
 // -------------------------------------- score_block bitwise parity
 
 TEST(SimdDispatch, ScoreBlockBitwiseParityOnRandomSpaces) {
-  const std::vector<SimdTier> tiers = available_tiers();
+  const std::vector<SimdTier> tiers = runnable_simd_tiers();
   for (std::uint64_t t = 0; t < 40; ++t) {
     SCOPED_TRACE("space seed " + std::to_string(t));
     const TableFixture fx(0x51D0'0000 + t);
@@ -189,8 +168,8 @@ TEST(SimdDispatch, ScoreBlockHandlesUnalignedRangesAndTails) {
   std::vector<double> reference(n);
   fx.table->score_block(fx.columns->block(), 0, n, reference.data(),
                         SimdTier::kScalar);
-  for (const SimdTier tier : available_tiers()) {
-    for (const auto [begin, end] :
+  for (const SimdTier tier : runnable_simd_tiers()) {
+    for (const auto& [begin, end] :
          {std::pair<std::size_t, std::size_t>{1, n - 2},
           {3, 4},  // single candidate, pure tail
           {0, 7},
@@ -242,7 +221,7 @@ TEST(SimdDispatch, ScoreBlockBitwiseParityOnMixedSpace) {
   for (std::size_t j = 0; j < pool.size(); ++j) {
     reference[j] = table.score(columns, j);
   }
-  for (const SimdTier tier : available_tiers()) {
+  for (const SimdTier tier : runnable_simd_tiers()) {
     std::vector<double> out(pool.size());
     table.score_block(columns.block(), 0, pool.size(), out.data(), tier);
     for (std::size_t j = 0; j < pool.size(); ++j) {
@@ -263,7 +242,7 @@ TEST(StreamingTopk, TableTopkMatchesGenericSweepOnRandomSpaces) {
           fx.columns->size(), k, nullptr,
           [&](std::size_t j) { return fx.table->score(*fx.columns, j); },
           [&](std::size_t j) { return fx.columns->ordinals()[j] % 7 == 0; });
-      for (const SimdTier tier : available_tiers()) {
+      for (const SimdTier tier : runnable_simd_tiers()) {
         const std::vector<SweepHit> got = sweep_topk(
             PoolSource{*fx.columns}, *fx.table, k, nullptr,
             [](const SweepHit& hit) { return hit.ordinal % 7 == 0; }, tier);
@@ -302,7 +281,7 @@ TEST(StreamingTopk, MultiChunkBoundedMergeMatchesGenericForAnyThreadCount) {
   ASSERT_EQ(reference.size(), 7u);
   ThreadPool pool1(1), pool2(2), pool7(7), pool_hw(0);
   ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool7, &pool_hw};
-  for (const SimdTier tier : available_tiers()) {
+  for (const SimdTier tier : runnable_simd_tiers()) {
     for (ThreadPool* workers : pools) {
       const std::vector<SweepHit> got = sweep_topk(
           PoolSource{columns}, table, 7, workers,
@@ -339,7 +318,7 @@ TEST(StreamingTopk, StreamedTableSweepMatchesScoreConfigSweep) {
     const std::vector<SweepHit> reference = acquisition_topk_stream(
         stream, /*pass=*/0, /*k=*/5, nullptr,
         [&](const Configuration& c) { return s.acquisition(c); }, excluded);
-    for (const SimdTier tier : available_tiers()) {
+    for (const SimdTier tier : runnable_simd_tiers()) {
       for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool2}) {
         const std::vector<SweepHit> got =
             sweep_topk(StreamSource{stream, /*pass=*/0}, table, /*k=*/5,
@@ -383,7 +362,7 @@ TEST(StreamingTopk, SuggestionsIdenticalUnderEveryForcedTier) {
   // Streamed and pooled sweeps agree on a flat space (pinned elsewhere);
   // here both must also be tier-invariant.
   EXPECT_EQ(streamed_reference, pooled_reference);
-  for (const SimdTier tier : available_tiers()) {
+  for (const SimdTier tier : runnable_simd_tiers()) {
     if (tier == SimdTier::kScalar) {
       continue;
     }

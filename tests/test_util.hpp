@@ -5,16 +5,65 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd_tier.hpp"
 #include "space/parameter_space.hpp"
 #include "tabular/tabular_objective.hpp"
 
 namespace hpb::testutil {
+
+/// Every SIMD tier this binary can actually run: scalar always; vector
+/// tiers when compiled in AND supported by the CPU.
+inline std::vector<SimdTier> runnable_simd_tiers() {
+  std::vector<SimdTier> tiers{SimdTier::kScalar};
+  for (const SimdTier t :
+       {SimdTier::kAvx2, SimdTier::kAvx512, SimdTier::kNeon}) {
+    if (simd_tier_available(t)) {
+      tiers.push_back(t);
+    }
+  }
+  return tiers;
+}
+
+/// Restores HPB_SIMD (and the cached tier decision) no matter how a test
+/// exits, so override tests cannot leak into the rest of the binary.
+class SimdEnvGuard {
+ public:
+  SimdEnvGuard() {
+    if (const char* old = std::getenv("HPB_SIMD")) {
+      saved_ = old;
+    }
+  }
+  ~SimdEnvGuard() {
+    if (saved_.has_value()) {
+      ::setenv("HPB_SIMD", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("HPB_SIMD");
+    }
+    refresh_simd_tier();
+  }
+  SimdEnvGuard(const SimdEnvGuard&) = delete;
+  SimdEnvGuard& operator=(const SimdEnvGuard&) = delete;
+
+  void set(const std::string& value) {
+    ::setenv("HPB_SIMD", value.c_str(), 1);
+    refresh_simd_tier();
+  }
+  /// Force `tier` through its HPB_SIMD value ("off" for scalar).
+  void force(SimdTier tier) {
+    set(tier == SimdTier::kScalar ? "off" : std::string(simd_tier_name(tier)));
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
 
 /// 3-parameter all-discrete space: A (4 levels), B (3 numeric levels),
 /// C (integer 0..4) — 60 configurations, no constraints.

@@ -17,9 +17,10 @@
 # per-index reference loop, and the lazily compiled prefix filter), the
 # SIMD dispatch-parity + streaming top-k tests (tests/test_simd.cpp), the
 # sweep golden pins
-# (tests/test_sweep_golden.cpp: suggestions, trace bytes, pool exhaustion)
-# and the warm-start constraint check, re-run with HPB_SIMD forced to every
-# tier this machine can execute; then a ThreadSanitizer build running the
+# (tests/test_sweep_golden.cpp: suggestions, trace bytes, pool exhaustion),
+# the warm-start constraint check and the streamed-generation, prefix-filter,
+# streamed-sweep and space-property suites, re-run with HPB_SIMD forced to
+# every tier this machine can execute; then a ThreadSanitizer build running the
 # concurrency-sensitive
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
 # session manager, line server, recovery/overload/drain, streamed-sweep
@@ -57,19 +58,24 @@ ctest --test-dir build-asan --output-on-failure -j "$jobs" \
 echo
 echo "== ASan, HPB_SIMD forced: dispatch parity under every runnable tier =="
 # Every tier the build + CPU can run: scalar always; avx2 on x86-64 CPUs
-# advertising it; neon on aarch64. The strict override makes a wrong guess
-# here an error, so the probe mirrors src/core/simd.cpp's detection.
+# advertising it; avx512 on x86-64 CPUs advertising avx512f, avx512dq,
+# avx512vl and avx512bw all four; neon on aarch64. The strict override
+# makes a wrong guess here an error, so the probe mirrors
+# src/common/simd_tier.cpp's detection.
+has_cpu_flag() { grep -q "\b$1\b" /proc/cpuinfo 2>/dev/null; }
 simd_tiers="off"
 case "$(uname -m)" in
   x86_64)
-    grep -q '\bavx2\b' /proc/cpuinfo 2>/dev/null && simd_tiers="$simd_tiers avx2" ;;
+    has_cpu_flag avx2 && simd_tiers="$simd_tiers avx2"
+    has_cpu_flag avx512f && has_cpu_flag avx512dq && has_cpu_flag avx512vl \
+      && has_cpu_flag avx512bw && simd_tiers="$simd_tiers avx512" ;;
   aarch64|arm64)
     simd_tiers="$simd_tiers neon" ;;
 esac
 for tier in $simd_tiers; do
   echo "-- HPB_SIMD=$tier --"
   HPB_SIMD="$tier" ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'SimdDispatch|StreamingTopk|Acquisition|SuggestPending|SweepGolden|SweepExhaustion|WarmStartRejects'
+    -R 'SimdDispatch|StreamingTopk|Acquisition|SuggestPending|SweepGolden|SweepExhaustion|WarmStartRejects|StreamedGeneration|PrefixFilter|StreamedSweep|SpaceProperties'
 done
 
 echo
@@ -85,7 +91,7 @@ echo "== TSan, HPB_SIMD forced: threaded sweeps under every runnable tier =="
 for tier in $simd_tiers; do
   echo "-- HPB_SIMD=$tier --"
   HPB_SIMD="$tier" ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R 'SimdDispatch|StreamingTopk|SweepGolden|SweepExhaustion|WarmStartRejects'
+    -R 'SimdDispatch|StreamingTopk|SweepGolden|SweepExhaustion|WarmStartRejects|StreamedGeneration|PrefixFilter|StreamedSweep|SpaceProperties'
 done
 
 echo
