@@ -97,7 +97,9 @@ space::SpacePtr discrete_space(std::size_t log2_pool) {
   auto s = std::make_shared<space::ParameterSpace>();
   std::size_t p = 0;
   for (; p + 4 <= log2_pool; p += 4) {
-    s->add(space::Parameter::integer("p" + std::to_string(p / 4), 0, 15));
+    std::string name = "p";
+    name += std::to_string(p / 4);
+    s->add(space::Parameter::integer(name, 0, 15));
   }
   if (p < log2_pool) {
     s->add(space::Parameter::integer(

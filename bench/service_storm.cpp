@@ -333,7 +333,10 @@ std::vector<std::vector<double>> parse_configs(
 std::string config_json(const std::vector<double>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
-    out += (i > 0 ? "," : "") + obs::json_double(values[i]);
+    if (i > 0) {
+      out += ',';
+    }
+    out += obs::json_double(values[i]);
   }
   out += ']';
   return out;
@@ -527,8 +530,10 @@ void run_worker(const Options& opt, const std::string& socket_path,
       std::string config_json = "[";
       for (std::size_t j = 0; j < values.size(); ++j) {
         config.values().push_back(values[j].as_number());
-        config_json +=
-            (j > 0 ? "," : "") + obs::json_double(values[j].as_number());
+        if (j > 0) {
+          config_json += ',';
+        }
+        config_json += obs::json_double(values[j].as_number());
       }
       config_json += ']';
       const tabular::EvalResult r = dataset.evaluate_result(config);
@@ -694,7 +699,10 @@ SuggestSequences run_chaos_pass(const Options& opt,
                                 const std::vector<std::vector<double>>& cfgs) {
     std::string rendered;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      rendered += (i > 0 ? ";" : "") + config_json(cfgs[i]);
+      if (i > 0) {
+        rendered += ';';
+      }
+      rendered += config_json(cfgs[i]);
     }
     const std::size_t round = s.evals_done / batch;
     std::vector<std::string>& rounds = seq[s.name];

@@ -8,12 +8,11 @@
 // tuning session's wall-clock. This module makes the sweep a streaming
 // table scan instead:
 //
-//   - PoolColumns: a structure-of-arrays mirror of the candidate pool.
-//     One contiguous per-parameter column of small indices (the level for
-//     discrete parameters, the rank of the candidate's value among the
-//     pool's distinct values for continuous ones), built once per pool, so
-//     the sweep streams through cache instead of chasing heap-allocated
-//     Configuration vectors.
+//   - PoolColumns (space/candidate_pool.hpp): a structure-of-arrays mirror
+//     of the candidate pool, one contiguous per-parameter column of small
+//     indices. A space::CandidatePool builds it on its first sweep and
+//     every tuner sharing the pool reads that one copy, so a dataset's
+//     sessions build it once between them.
 //   - AcquisitionTable: per-fit score tables. For every discrete parameter
 //     a `level -> (log pg, log pb)` table computed once per surrogate fit;
 //     for every continuous parameter the same memo over the pool's
@@ -46,75 +45,14 @@
 #include "common/thread_pool.hpp"
 #include "core/simd.hpp"
 #include "core/surrogate.hpp"
+#include "space/candidate_pool.hpp"
 #include "space/candidate_stream.hpp"
 #include "space/parameter_space.hpp"
 
 namespace hpb::core {
 
-/// Candidates in column layout: data[i][r] is candidate r's table row for
-/// parameter i, for every row r < rows (the layout score_block consumes).
-struct ColumnBlock {
-  std::span<const std::uint32_t* const> data;
-  std::size_t rows = 0;
-};
-
-/// Structure-of-arrays mirror of a candidate pool (built once per pool).
-/// With an empty pool it is just the space's table layout, which is what a
-/// streamed sweep's AcquisitionTable is built over.
-class PoolColumns {
- public:
-  PoolColumns(const space::ParameterSpace& space,
-              std::span<const space::Configuration> pool);
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t num_params() const noexcept {
-    return columns_.size();
-  }
-
-  /// Per-candidate index column of parameter i: the level index for
-  /// discrete parameters, the distinct-value rank for continuous ones.
-  [[nodiscard]] std::span<const std::uint32_t> column(
-      std::size_t param) const {
-    return columns_[param];
-  }
-
-  /// Every column, as one block of size() rows.
-  [[nodiscard]] ColumnBlock block() const noexcept {
-    return {column_ptrs_, size_};
-  }
-
-  /// Sorted distinct values of a continuous parameter's column (empty for
-  /// discrete parameters). column(i)[j] indexes into this.
-  [[nodiscard]] std::span<const double> distinct_values(
-      std::size_t param) const {
-    return distinct_[param];
-  }
-
-  /// Rows of the score table for parameter i: the level count for discrete
-  /// parameters, the distinct-value count for continuous ones.
-  [[nodiscard]] std::size_t table_size(std::size_t param) const {
-    return table_sizes_[param];
-  }
-
-  [[nodiscard]] bool is_continuous(std::size_t param) const {
-    return continuous_[param] != 0;
-  }
-
-  /// Per-candidate space ordinals (exclusion checks); empty unless the
-  /// space is finite.
-  [[nodiscard]] std::span<const std::uint64_t> ordinals() const noexcept {
-    return ordinals_;
-  }
-
- private:
-  std::size_t size_ = 0;
-  std::vector<std::vector<std::uint32_t>> columns_;
-  std::vector<const std::uint32_t*> column_ptrs_;  // columns_[i].data()
-  std::vector<std::vector<double>> distinct_;  // continuous params only
-  std::vector<std::size_t> table_sizes_;
-  std::vector<char> continuous_;  // per-param kind (char: vector<bool> races)
-  std::vector<std::uint64_t> ordinals_;
-};
+using space::ColumnBlock;
+using space::PoolColumns;
 
 /// Per-fit `index -> (log pg, log pb)` tables over a PoolColumns layout.
 ///

@@ -46,7 +46,7 @@ struct EngineConfig {
   /// Retry policy for transient failures. Failed evaluations (after
   /// retries) count toward the budget, are delivered to the tuner via
   /// observe_failure, and never become best_value/best_config.
-  FailurePolicy failure;
+  FailurePolicy failure{};
   /// Wall-clock watchdog: per-evaluation deadline. Each evaluation receives
   /// a CancellationToken carrying now() + eval_deadline; cooperative
   /// objectives return early, and any evaluation that comes back after its
@@ -73,7 +73,7 @@ struct EngineConfig {
   /// its model internals. The all-null default performs no clock reads, no
   /// allocations, and no extra branches inside evaluations: default runs
   /// are bitwise identical to a recorder-free build of the loop.
-  obs::Recorder recorder;
+  obs::Recorder recorder{};
 };
 
 class TuningEngine {

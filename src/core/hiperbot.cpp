@@ -20,6 +20,16 @@ std::shared_ptr<const std::vector<space::Configuration>> enumerate_pool(
       space->enumerate());
 }
 
+/// A private pool around a tuner's own list (no list: no pool).
+std::shared_ptr<const space::CandidatePool> own_pool(
+    const space::SpacePtr& space,
+    std::shared_ptr<const std::vector<space::Configuration>> list) {
+  if (list == nullptr) {
+    return nullptr;
+  }
+  return std::make_shared<const space::CandidatePool>(space, std::move(list));
+}
+
 }  // namespace
 
 HiPerBOt::HiPerBOt(space::SpacePtr space, HiPerBOtConfig config,
@@ -29,6 +39,11 @@ HiPerBOt::HiPerBOt(space::SpacePtr space, HiPerBOtConfig config,
 HiPerBOt::HiPerBOt(
     space::SpacePtr space, HiPerBOtConfig config, std::uint64_t seed,
     std::shared_ptr<const std::vector<space::Configuration>> pool)
+    : HiPerBOt(space, config, seed, own_pool(space, std::move(pool))) {}
+
+HiPerBOt::HiPerBOt(space::SpacePtr space, HiPerBOtConfig config,
+                   std::uint64_t seed,
+                   std::shared_ptr<const space::CandidatePool> pool)
     : space_(std::move(space)),
       config_(config),
       rng_(seed),
@@ -52,7 +67,7 @@ HiPerBOt::HiPerBOt(
       HPB_REQUIRE(pool_ != nullptr,
                   "HiPerBOt: Ranking strategy needs a finite candidate pool "
                   "or a streamed sweep source");
-      HPB_REQUIRE(!pool_->empty(), "HiPerBOt: empty candidate pool");
+      HPB_REQUIRE(pool_->size() > 0, "HiPerBOt: empty candidate pool");
     }
   }
 }
@@ -78,17 +93,17 @@ bool HiPerBOt::is_excluded(const space::Configuration& c) const {
 
 space::Configuration HiPerBOt::random_unevaluated() {
   if (pool_ != nullptr) {
+    const std::vector<space::Configuration>& pool = pool_->configs();
     const std::size_t excluded = evaluated_.size() + pending_.size();
-    HPB_REQUIRE(excluded < pool_->size(),
-                "HiPerBOt: candidate pool exhausted");
+    HPB_REQUIRE(excluded < pool.size(), "HiPerBOt: candidate pool exhausted");
     // Rejection sampling needs ~pool/(pool-excluded) draws in expectation;
     // once half the pool is excluded that blows up (a 2^24-entry pool
     // evaluated down to a few free slots would spin for millions of
     // iterations), so pick uniformly among the unexcluded entries with one
     // linear scan instead.
-    if (excluded >= pool_->size() / 2) {
-      std::size_t r = rng_.index(pool_->size() - excluded);
-      for (const auto& c : *pool_) {
+    if (excluded >= pool.size() / 2) {
+      std::size_t r = rng_.index(pool.size() - excluded);
+      for (const auto& c : pool) {
         if (is_excluded(c)) {
           continue;
         }
@@ -101,7 +116,7 @@ space::Configuration HiPerBOt::random_unevaluated() {
       HPB_REQUIRE(false, "HiPerBOt: exclusion bookkeeping out of sync");
     }
     for (;;) {
-      const auto& c = (*pool_)[rng_.index(pool_->size())];
+      const auto& c = pool[rng_.index(pool.size())];
       if (!is_excluded(c)) {
         return c;
       }
@@ -185,21 +200,25 @@ void HiPerBOt::finish_sweep(const SweepClock& clock, std::string_view mode,
                           .attrs = std::span(attrs.data(), n)});
 }
 
+const PoolColumns& HiPerBOt::sweep_columns() {
+  if (pool_ != nullptr) {
+    return pool_->columns();
+  }
+  if (!stream_layout_) {
+    stream_layout_.emplace(*space_, std::span<const space::Configuration>());
+  }
+  return *stream_layout_;
+}
+
 std::vector<space::Configuration> HiPerBOt::ranked_topk(const TpeSurrogate& s,
                                                        std::size_t k) {
   SweepClock clock = start_sweep();
-  if (!columns_) {
-    std::span<const space::Configuration> rows;  // none for streamed sweeps
-    if (pool_ != nullptr) {
-      rows = *pool_;
-    }
-    columns_.emplace(*space_, rows);
-  }
+  const PoolColumns& columns = sweep_columns();
   // Rebuild only the table columns whose marginals changed since the
   // previous fit (bitwise-identical scores either way); the fresh table
   // replaces the cache for the next fit's diff.
   table_cache_.emplace(
-      AcquisitionTable(s, *columns_, table_cache_ ? &*table_cache_ : nullptr));
+      AcquisitionTable(s, columns, table_cache_ ? &*table_cache_ : nullptr));
   const AcquisitionTable& table = *table_cache_;
   mark_table_built(clock);
   const bool finite = space_->is_finite();
@@ -217,7 +236,7 @@ std::vector<space::Configuration> HiPerBOt::ranked_topk(const TpeSurrogate& s,
         obs::TraceAttr::uint("pass_length", stream_->pass_length())};
     finish_sweep(clock, "stream", source, k);
   } else {
-    hits = sweep_topk(PoolSource{*columns_}, table, k, sweep_pool_, excluded);
+    hits = sweep_topk(PoolSource{columns}, table, k, sweep_pool_, excluded);
     const obs::TraceAttr source[] = {
         obs::TraceAttr::uint("pool", pool_->size())};
     finish_sweep(clock, "table", source, k);
@@ -228,7 +247,7 @@ std::vector<space::Configuration> HiPerBOt::ranked_topk(const TpeSurrogate& s,
   top.reserve(hits.size());
   for (const SweepHit& hit : hits) {
     top.push_back(stream_ ? space_->configuration_at(hit.ordinal)
-                          : (*pool_)[hit.index]);
+                          : pool_->configs()[hit.index]);
   }
   return top;
 }
@@ -300,11 +319,15 @@ space::Configuration HiPerBOt::suggest() {
   // member: without this, two suggest() calls with no intervening observe()
   // return the same configuration, and a later suggest_batch can duplicate
   // the outstanding one. observe()/observe_failure() release the ordinal.
-  if (space_->is_finite()) {
-    pending_.insert(space_->ordinal_of(chosen));
-  }
-  pending_configs_.push_back(chosen);
+  add_pending(chosen);
   return chosen;
+}
+
+void HiPerBOt::add_pending(const space::Configuration& c) {
+  if (space_->is_finite()) {
+    pending_.insert(space_->ordinal_of(c));
+  }
+  pending_configs_.push_back(c);
 }
 
 std::vector<space::Configuration> HiPerBOt::suggest_batch(std::size_t k) {
@@ -315,10 +338,7 @@ std::vector<space::Configuration> HiPerBOt::suggest_batch(std::size_t k) {
   // within-batch deduplication and configurations still outstanding from an
   // earlier, partially observed batch.
   auto take = [&](space::Configuration c) {
-    if (space_->is_finite()) {
-      pending_.insert(space_->ordinal_of(c));
-    }
-    pending_configs_.push_back(c);
+    add_pending(c);
     batch.push_back(std::move(c));
   };
   auto pool_exhausted = [&] {
@@ -379,6 +399,44 @@ std::vector<space::Configuration> HiPerBOt::suggest_batch(std::size_t k) {
     export_fit(surrogate, surrogate.acquisition(batch.front()));
   }
   return batch;
+}
+
+bool HiPerBOt::adopt_batch(std::size_t requested,
+                           std::span<const space::Configuration> batch) {
+  // Pooled Ranking past the initial design is the one mode whose
+  // suggest_batch draws nothing from the RNG (the initial design, Proposal
+  // and an empty stream pass all draw), so the journaled batch is the
+  // whole effect of the suggest it replaces.
+  if (config_.strategy != SelectionStrategy::kRanking || pool_ == nullptr ||
+      !space_->is_finite() || history_.size() < config_.initial_samples ||
+      batch.empty()) {
+    return false;
+  }
+  // The sweep returns min(requested, unexcluded pool members).
+  const std::size_t excluded = evaluated_.size() + pending_.size();
+  const std::size_t available =
+      excluded < pool_->size() ? pool_->size() - excluded : 0;
+  if (batch.size() != std::min(requested, available)) {
+    return false;
+  }
+  std::vector<std::uint64_t> ordinals;
+  ordinals.reserve(batch.size());
+  for (const space::Configuration& c : batch) {
+    if (!space_->satisfies(c)) {
+      return false;
+    }
+    const std::uint64_t ordinal = space_->ordinal_of(c);
+    if (evaluated_.contains(ordinal) || pending_.contains(ordinal) ||
+        std::find(ordinals.begin(), ordinals.end(), ordinal) !=
+            ordinals.end()) {
+      return false;
+    }
+    ordinals.push_back(ordinal);
+  }
+  for (const space::Configuration& c : batch) {
+    add_pending(c);
+  }
+  return true;
 }
 
 void HiPerBOt::observe(const space::Configuration& config, double y) {

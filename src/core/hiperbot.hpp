@@ -97,6 +97,11 @@ class HiPerBOt final : public Tuner {
   HiPerBOt(space::SpacePtr space, HiPerBOtConfig config, std::uint64_t seed,
            std::shared_ptr<const std::vector<space::Configuration>> pool);
 
+  /// Sweep a shared candidate pool (e.g. a dataset's): every tuner holding
+  /// the same pool reads one column mirror, built by the first sweep.
+  HiPerBOt(space::SpacePtr space, HiPerBOtConfig config, std::uint64_t seed,
+           std::shared_ptr<const space::CandidatePool> pool);
+
   /// Install the transfer-learning prior (eq. 9–10); weight comes from
   /// config.transfer_weight.
   void set_transfer_prior(TransferPrior prior);
@@ -117,6 +122,17 @@ class HiPerBOt final : public Tuner {
   /// configuration even if the caller observes only part of a batch.
   [[nodiscard]] std::vector<space::Configuration> suggest_batch(
       std::size_t k) override;
+
+  /// Accepts only under pooled Ranking past the initial design, where
+  /// suggest_batch draws nothing from the RNG: its top-k is fixed by the
+  /// history, the failures and the pending set. The batch must be the size
+  /// that suggest_batch(requested) would return, and every member valid,
+  /// not excluded, and not repeated. Accepting adds the batch to the
+  /// pending set and the liar list, in batch order, and changes nothing
+  /// else.
+  [[nodiscard]] bool adopt_batch(
+      std::size_t requested,
+      std::span<const space::Configuration> batch) override;
 
   void observe(const space::Configuration& config, double y) override;
   /// Failed configurations join the excluded-ordinal set (never re-proposed)
@@ -140,6 +156,11 @@ class HiPerBOt final : public Tuner {
   [[nodiscard]] const HiPerBOtConfig& config() const noexcept {
     return config_;
   }
+  /// The candidate pool, or null for streamed and pool-less tuners.
+  [[nodiscard]] const std::shared_ptr<const space::CandidatePool>& pool()
+      const noexcept {
+    return pool_;
+  }
 
   /// Fit a surrogate to the current history (>= 2 observations required).
   [[nodiscard]] TpeSurrogate fit_surrogate() const;
@@ -162,6 +183,12 @@ class HiPerBOt final : public Tuner {
   /// when tracing.
   [[nodiscard]] std::vector<space::Configuration> ranked_topk(
       const TpeSurrogate& s, std::size_t k);
+  /// The columns a Ranking sweep scores: the pool's shared mirror, or for
+  /// a streamed sweep the space's table layout with no rows.
+  [[nodiscard]] const PoolColumns& sweep_columns();
+  /// Mark a suggestion outstanding until observed (pending set + liar
+  /// list).
+  void add_pending(const space::Configuration& c);
 
   /// Clock marks of one Ranking sweep for its hiperbot.sweep span, read
   /// only while tracing.
@@ -191,10 +218,9 @@ class HiPerBOt final : public Tuner {
   HiPerBOtConfig config_;
   Rng rng_;
   History history_;
-  std::shared_ptr<const std::vector<space::Configuration>> pool_;
-  /// SoA pool mirror, built lazily; for a streamed sweep, the space's
-  /// table layout with no rows.
-  std::optional<PoolColumns> columns_;
+  std::shared_ptr<const space::CandidatePool> pool_;
+  /// A streamed sweep's table layout (no rows), built on its first sweep.
+  std::optional<PoolColumns> stream_layout_;
   /// Streamed candidate source for Ranking on spaces with no pool (or with
   /// sweep_source == kStreamed). Mutually exclusive with pool_.
   std::optional<space::CandidateStream> stream_;

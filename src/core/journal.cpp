@@ -525,6 +525,41 @@ JournalContents read_journal(const std::string& path) {
 
 // ---------------------------------------------------------------- replay
 
+namespace {
+
+/// Re-enter one journaled batch — round `index` of a sync journal or ask
+/// event `index` of an async one (`what` names which) — into `tuner` as
+/// the suggest that produced it. Any batch but the journal's last is first
+/// offered to Tuner::adopt_batch, which skips the fit when the tuner can
+/// show the suggestion is already fixed by the journal. The last batch, and
+/// every batch the tuner declines, is re-suggested and compared bit for
+/// bit, so a wrong method, seed, or dataset still fails the resume.
+void replay_batch(Tuner& tuner, std::size_t requested,
+                  std::span<const space::Configuration> journaled,
+                  bool last, const char* what, std::size_t index) {
+  if (!last && tuner.adopt_batch(requested, journaled)) {
+    return;
+  }
+  const std::vector<space::Configuration> batch =
+      tuner.suggest_batch(requested);
+  HPB_REQUIRE(batch.size() == journaled.size(),
+              std::string(what) + " " + std::to_string(index) +
+                  " diverged — tuner proposed " +
+                  std::to_string(batch.size()) +
+                  " configurations, journal recorded " +
+                  std::to_string(journaled.size()) +
+                  " (wrong method, seed, or dataset?)");
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    HPB_REQUIRE(batch[i].values() == journaled[i].values(),
+                std::string(what) + " " + std::to_string(index) +
+                    " configuration " + std::to_string(i) +
+                    " diverged — the tuner did not re-propose the journaled "
+                    "configuration (wrong method, seed, or dataset?)");
+  }
+}
+
+}  // namespace
+
 std::vector<Observation> replay_journal(Tuner& tuner,
                                         const space::ParameterSpace& space,
                                         const JournalContents& contents) {
@@ -535,14 +570,24 @@ std::vector<Observation> replay_journal(Tuner& tuner,
                   std::to_string(space.num_params()));
   std::vector<Observation> replayed;
   replayed.reserve(contents.num_observations());
+  // The last observed round is the one re-suggested in full: an abandoned
+  // round after it has no configurations to compare.
+  std::size_t last_observed = 0;
+  for (std::size_t r = 0; r < contents.rounds.size(); ++r) {
+    if (!contents.rounds[r].abandoned) {
+      last_observed = r;
+    }
+  }
+  std::vector<space::Configuration> journaled;
   for (std::size_t r = 0; r < contents.rounds.size(); ++r) {
     const JournalRound& round = contents.rounds[r];
-    const std::vector<space::Configuration> batch =
-        tuner.suggest_batch(round.requested);
     if (round.abandoned) {
-      // The round was cancelled whole before any observation: re-suggesting
-      // advanced the tuner (RNG, pending tracking) exactly as the original
-      // suggest did; abandoning each member restores the cancelled state.
+      // The round was cancelled whole before any observation, and the
+      // journal holds no configurations for it: re-suggesting advances the
+      // tuner (RNG, pending tracking) exactly as the original suggest did;
+      // abandoning each member restores the cancelled state.
+      const std::vector<space::Configuration> batch =
+          tuner.suggest_batch(round.requested);
       HPB_REQUIRE(batch.size() == round.actual,
                   "replay_journal: abandoned round " + std::to_string(r) +
                       " diverged — tuner proposed " +
@@ -555,20 +600,12 @@ std::vector<Observation> replay_journal(Tuner& tuner,
       }
       continue;
     }
-    HPB_REQUIRE(batch.size() == round.observations.size(),
-                "replay_journal: round " + std::to_string(r) +
-                    " diverged — tuner proposed " +
-                    std::to_string(batch.size()) + " configurations, journal "
-                    "recorded " + std::to_string(round.observations.size()) +
-                    " (wrong method, seed, or dataset?)");
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      HPB_REQUIRE(
-          batch[i].values() == round.observations[i].config.values(),
-          "replay_journal: round " + std::to_string(r) + " observation " +
-              std::to_string(i) +
-              " diverged — the tuner did not re-propose the journaled "
-              "configuration (wrong method, seed, or dataset?)");
+    journaled.clear();
+    for (const Observation& o : round.observations) {
+      journaled.push_back(o.config);
     }
+    replay_batch(tuner, round.requested, journaled, r == last_observed,
+                 "replay_journal: round", r);
     tuner.observe_batch(round.observations);
     replayed.insert(replayed.end(), round.observations.begin(),
                     round.observations.end());
@@ -591,29 +628,23 @@ AsyncReplayResult replay_journal_async(Tuner& tuner,
   // equals issue order — the resumed session re-exposes outstanding tokens
   // exactly as the original issued them.
   std::map<std::uint64_t, space::Configuration> outstanding;
+  std::size_t last_ask = 0;
+  for (std::size_t e = 0; e < contents.events.size(); ++e) {
+    if (contents.events[e].kind == AsyncEvent::Kind::kAsk) {
+      last_ask = e;
+    }
+  }
   for (std::size_t e = 0; e < contents.events.size(); ++e) {
     const AsyncEvent& event = contents.events[e];
     switch (event.kind) {
       case AsyncEvent::Kind::kAsk: {
-        const std::vector<space::Configuration> batch =
-            tuner.suggest_batch(event.requested);
-        HPB_REQUIRE(batch.size() == event.configs.size(),
-                    "replay_journal_async: ask event " + std::to_string(e) +
-                        " diverged — tuner proposed " +
-                        std::to_string(batch.size()) +
-                        " configurations, journal recorded " +
-                        std::to_string(event.configs.size()) +
-                        " (wrong method, seed, or dataset?)");
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          HPB_REQUIRE(batch[i].values() == event.configs[i].values(),
-                      "replay_journal_async: ask event " + std::to_string(e) +
-                          " configuration " + std::to_string(i) +
-                          " diverged — the tuner did not re-propose the "
-                          "journaled configuration (wrong method, seed, or "
-                          "dataset?)");
-          outstanding.emplace(event.first_token + i, batch[i]);
+        replay_batch(tuner, event.requested, event.configs, e == last_ask,
+                     "replay_journal_async: ask event", e);
+        for (std::size_t i = 0; i < event.configs.size(); ++i) {
+          outstanding.emplace(event.first_token + i, event.configs[i]);
         }
-        result.next_token = event.first_token + batch.size();
+        result.next_token = event.first_token + event.configs.size();
+        ++result.asks;
         break;
       }
       case AsyncEvent::Kind::kObserve: {

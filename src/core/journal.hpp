@@ -7,11 +7,21 @@
 // rounds (a torn tail — a partial line or a half-written round — is
 // detected and dropped by the reader). Resume is replay-based: tuners are
 // deterministic given their suggest/observe call sequence, so driving a
-// fresh tuner through the journal's rounds — suggest_batch(requested) per
-// round, observations answered from the journal instead of re-evaluating
-// the objective — reconstructs the exact in-memory state (including RNG
-// position and pending-batch tracking) the session had when it died. The
-// continued run is therefore bitwise identical to an uninterrupted one.
+// fresh tuner through the journal's rounds — each journaled batch entered
+// as the suggest that produced it, observations answered from the journal
+// instead of re-evaluating the objective — reconstructs the exact
+// in-memory state (including RNG position and pending-batch tracking) the
+// session had when it died. The continued run is therefore bitwise
+// identical to an uninterrupted one.
+//
+// A batch is entered the cheap way when the tuner allows it: a tuner whose
+// suggestion was fixed by state the journal already holds adopts the
+// journaled batch without refitting (Tuner::adopt_batch; HiPerBOt does so
+// under pooled Ranking past its initial design, where it draws nothing from
+// the RNG). Every other batch is re-suggested and compared bit for bit, and
+// so is the last one always, so a wrong method, seed, or dataset still
+// fails the resume. A HiPerBOt resume thus costs one journal read and one
+// fit, not one fit per journaled round.
 //
 // Format (line-oriented text; doubles as 16-hex-digit IEEE-754 bit
 // patterns so values round-trip exactly):
@@ -216,11 +226,15 @@ class JournalWriter {
 [[nodiscard]] JournalContents read_journal(const std::string& path);
 
 /// Deterministic resume: drive a fresh tuner through the journal's rounds
-/// — suggest_batch(requested), observations answered from the journal —
-/// without touching the objective. Throws if the tuner's suggestions
-/// diverge from the journaled configurations (wrong method, seed, or
-/// dataset). Returns all replayed observations in engine order, ready to
-/// hand to TuningEngine::run/run_until as the replayed prefix.
+/// without touching the objective. Each observed round's batch is adopted
+/// (Tuner::adopt_batch) or re-suggested and compared bit for bit; the last
+/// observed round is always re-suggested, and an abandoned round (the
+/// journal holds no configurations for it) is always re-suggested and then
+/// abandoned. Observations are answered from the journal. Throws if the
+/// tuner's suggestions diverge from the journaled configurations (wrong
+/// method, seed, or dataset). Returns all replayed observations in engine
+/// order, ready to hand to TuningEngine::run/run_until as the replayed
+/// prefix.
 [[nodiscard]] std::vector<Observation> replay_journal(
     Tuner& tuner, const space::ParameterSpace& space,
     const JournalContents& contents);
@@ -236,12 +250,15 @@ struct AsyncReplayResult {
   std::vector<std::pair<std::uint64_t, space::Configuration>> outstanding;
   /// The next unissued token (one past the largest journaled token).
   std::uint64_t next_token = 1;
+  /// Ask events replayed (the session's round counter).
+  std::size_t asks = 0;
 };
 
 /// Deterministic async resume: drive a fresh tuner through the journal's
-/// event sequence — suggest_batch per ask (verified bitwise against the
-/// journaled configurations), observe/observe_failure per aobs, abandon per
-/// acancel — in the exact journaled order.
+/// event sequence in the exact journaled order — per ask, the journaled
+/// batch adopted or re-suggested and compared bit for bit, as in
+/// replay_journal (the last ask is always re-suggested); per aobs,
+/// observe/observe_failure; per acancel, abandon.
 [[nodiscard]] AsyncReplayResult replay_journal_async(
     Tuner& tuner, const space::ParameterSpace& space,
     const JournalContents& contents);

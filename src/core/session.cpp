@@ -69,6 +69,29 @@ void Session::journal_op(const char* what, F&& op) {
   }
 }
 
+obs::Counter& Session::counter(obs::Counter*& handle, const char* name) {
+  if (handle == nullptr) {
+    handle = &config_.recorder.metrics->counter(name);
+  }
+  return *handle;
+}
+
+obs::Gauge& Session::gauge(obs::Gauge*& handle, const char* name) {
+  if (handle == nullptr) {
+    handle = &config_.recorder.metrics->gauge(name);
+  }
+  return *handle;
+}
+
+obs::Histogram& Session::latency_ms(obs::Histogram*& handle,
+                                    const char* name) {
+  if (handle == nullptr) {
+    handle = &config_.recorder.metrics->histogram(
+        name, obs::default_latency_buckets_ms());
+  }
+  return *handle;
+}
+
 void Session::require_mode(SessionMode mode, const char* verb) const {
   HPB_REQUIRE(config_.mode == mode,
               std::string("Session::") + verb +
@@ -191,12 +214,12 @@ void Session::observe(std::vector<Observation> observations,
     }
   }
   if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.rounds").add(1);
-    rec.metrics->counter("engine.evaluations").add(observations.size());
-    rec.metrics->counter("engine.failures").add(failed);
-    rec.metrics->counter("engine.eval_retries").add(retries);
-    obs::Histogram& eval_ms = rec.metrics->histogram(
-        "engine.eval_ms", obs::default_latency_buckets_ms());
+    counter(meters_.rounds, "engine.rounds").add(1);
+    counter(meters_.evaluations, "engine.evaluations")
+        .add(observations.size());
+    counter(meters_.failures, "engine.failures").add(failed);
+    counter(meters_.eval_retries, "engine.eval_retries").add(retries);
+    obs::Histogram& eval_ms = latency_ms(meters_.eval_ms, "engine.eval_ms");
     for (const EvalMeter& m : meters) {
       eval_ms.record(static_cast<double>(m.end_ns - m.start_ns) * 1e-6);
     }
@@ -255,8 +278,7 @@ void Session::observe(std::vector<Observation> observations,
       start = round_start_;
       end = rec.now_ns();
     }
-    rec.metrics
-        ->histogram("engine.round_ms", obs::default_latency_buckets_ms())
+    latency_ms(meters_.round_ms, "engine.round_ms")
         .record(static_cast<double>(end - start) * 1e-6);
   }
   for (Observation& o : observations) {
@@ -294,7 +316,7 @@ std::size_t Session::cancel_round() {
                      .attrs = attrs});
   }
   if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.cancelled_rounds").add(1);
+    counter(meters_.cancelled_rounds, "engine.cancelled_rounds").add(1);
   }
   round_in_flight_ = false;
   pending_.clear();
@@ -353,8 +375,8 @@ std::vector<AsyncSuggestion> Session::suggest_async(std::size_t k) {
                      .attrs = attrs});
   }
   if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.asks").add(1);
-    rec.metrics->gauge("engine.outstanding")
+    counter(meters_.asks, "engine.asks").add(1);
+    gauge(meters_.outstanding, "engine.outstanding")
         .set(static_cast<double>(outstanding_.size()));
   }
   ++round_index_;
@@ -421,9 +443,9 @@ void Session::observe_async(std::span<const AsyncResult> results) {
     apply(std::move(o));
   }
   if (rec.metrics != nullptr) {
-    rec.metrics->counter("engine.evaluations").add(results.size());
-    rec.metrics->counter("engine.failures").add(failed);
-    rec.metrics->gauge("engine.outstanding")
+    counter(meters_.evaluations, "engine.evaluations").add(results.size());
+    counter(meters_.failures, "engine.failures").add(failed);
+    gauge(meters_.outstanding, "engine.outstanding")
         .set(static_cast<double>(outstanding_.size()));
   }
 }
@@ -465,14 +487,16 @@ std::size_t Session::cancel_async(std::span<const std::uint64_t> tokens) {
   }
   const obs::Recorder& rec = config_.recorder;
   if (rec.metrics != nullptr && !to_cancel.empty()) {
-    rec.metrics->counter("engine.cancelled_tokens").add(to_cancel.size());
-    rec.metrics->gauge("engine.outstanding")
+    counter(meters_.cancelled_tokens, "engine.cancelled_tokens")
+        .add(to_cancel.size());
+    gauge(meters_.outstanding, "engine.outstanding")
         .set(static_cast<double>(outstanding_.size()));
   }
   return to_cancel.size();
 }
 
-void Session::replay(std::span<const Observation> replayed) {
+void Session::replay(std::span<const Observation> replayed,
+                     std::size_t rounds) {
   require_open("replay");
   HPB_REQUIRE(!round_in_flight_,
               "Session::replay: a round is in flight; replay only precedes "
@@ -480,6 +504,7 @@ void Session::replay(std::span<const Observation> replayed) {
   for (const Observation& o : replayed) {
     apply(o);
   }
+  round_index_ += rounds;
 }
 
 void Session::replay_async(const AsyncReplayResult& replayed) {
@@ -494,6 +519,7 @@ void Session::replay_async(const AsyncReplayResult& replayed) {
     outstanding_.emplace(token, config);
   }
   next_token_ = replayed.next_token;
+  round_index_ += replayed.asks;
 }
 
 void Session::apply(Observation o) {
@@ -518,8 +544,7 @@ void Session::apply(Observation o) {
   result_.best_so_far.push_back(result_.best_value);
   if (config_.recorder.metrics != nullptr &&
       result_.best_value != std::numeric_limits<double>::infinity()) {
-    config_.recorder.metrics->gauge("engine.best_value")
-        .set(result_.best_value);
+    gauge(meters_.best_value, "engine.best_value").set(result_.best_value);
   }
 
   // Stopping conditions are evaluated per observation (stagnation patience

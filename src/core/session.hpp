@@ -106,7 +106,7 @@ struct SessionConfig {
   /// loop exactly.
   std::size_t batch_size = 1;
   /// Retry policy for transient failures (driver-side).
-  FailurePolicy failure;
+  FailurePolicy failure{};
   /// Per-evaluation watchdog deadline (driver-side; zero disables).
   std::chrono::milliseconds eval_deadline{0};
   /// Graceful-shutdown flag, checked by the driver between rounds. Not
@@ -114,12 +114,12 @@ struct SessionConfig {
   const std::atomic<bool>* stop_flag = nullptr;
   /// Observability hooks (trace sink / metrics registry / clock), optional
   /// and not owned. The all-null default adds no work to the loop.
-  obs::Recorder recorder;
+  obs::Recorder recorder{};
   /// Stopping conditions. Session::observe applies the per-observation
   /// bookkeeping (target check, stagnation patience) and exposes the
   /// verdict via status(); drivers decide whether to honor it (run()
   /// ignores it, run_until() stops on it).
-  StopConfig stop;
+  StopConfig stop{};
   /// Round-structured (default) or token-structured asynchronous session.
   SessionMode mode = SessionMode::kSync;
   /// Async sessions: cap on outstanding (suggested-but-unresolved) tokens.
@@ -238,13 +238,16 @@ class Session {
 
   /// Apply already-journaled observations (from replay_journal, which
   /// drove them through the tuner) to the result and stopping bookkeeping.
-  /// Only valid before the first suggest of a fresh session.
-  void replay(std::span<const Observation> replayed);
+  /// `rounds` is the number of journaled rounds, observed and abandoned,
+  /// the replay covered: the round counter (status().rounds and the round
+  /// span's index) continues from it, as in the session that wrote the
+  /// journal. Only valid before the first suggest of a fresh session.
+  void replay(std::span<const Observation> replayed, std::size_t rounds = 0);
 
   /// Async counterpart of replay(): apply the journaled observations and
-  /// restore the outstanding-token set and the token counter from an
-  /// AsyncReplayResult. Only valid before the first ask of a fresh async
-  /// session.
+  /// restore the outstanding-token set, the token counter and the round
+  /// (ask) counter from an AsyncReplayResult. Only valid before the first
+  /// ask of a fresh async session.
   void replay_async(const AsyncReplayResult& replayed);
 
   [[nodiscard]] SessionStatus status() const;
@@ -300,6 +303,14 @@ class Session {
   template <typename F>
   void journal_op(const char* what, F&& op);
 
+  /// engine.* instruments of config_.recorder.metrics (which must be set),
+  /// each looked up by name on its first use and then kept in `handle`: a
+  /// lookup takes the registry's mutex, and registering on first use
+  /// leaves the registry holding exactly the instruments the run used.
+  obs::Counter& counter(obs::Counter*& handle, const char* name);
+  obs::Gauge& gauge(obs::Gauge*& handle, const char* name);
+  obs::Histogram& latency_ms(obs::Histogram*& handle, const char* name);
+
   SessionConfig config_;
   Tuner* tuner_ = nullptr;
   JournalWriter* journal_ = nullptr;
@@ -311,6 +322,21 @@ class Session {
   bool stopped_ = false;
   StopReason reason_ = StopReason::kBudgetExhausted;
   bool finished_ = false;
+  struct Meters {
+    obs::Counter* rounds = nullptr;
+    obs::Counter* evaluations = nullptr;
+    obs::Counter* failures = nullptr;
+    obs::Counter* eval_retries = nullptr;
+    obs::Counter* cancelled_rounds = nullptr;
+    obs::Counter* asks = nullptr;
+    obs::Counter* cancelled_tokens = nullptr;
+    obs::Gauge* outstanding = nullptr;
+    obs::Gauge* best_value = nullptr;
+    obs::Histogram* eval_ms = nullptr;
+    obs::Histogram* round_ms = nullptr;
+  };
+  Meters meters_;
+
   // Atomic so the manager's health/eviction scans can read it without the
   // per-session op mutex; the reason string is only read under that mutex.
   std::atomic<bool> degraded_{false};

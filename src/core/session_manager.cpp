@@ -329,7 +329,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::resume_from_journal(
     auto journal =
         std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
     entry = make_entry(spec, std::move(backend), std::move(journal));
-    entry->session->replay(replayed);
+    entry->session->replay(replayed, contents.rounds.size());
   }
   stripe.map.emplace(name, entry);
   ++resumed_;

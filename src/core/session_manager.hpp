@@ -10,13 +10,17 @@
 // Cold eviction: when a stripe exceeds its share of `max_resident`, its
 // least-recently-used idle session is dropped from memory. Nothing is lost
 // — every hosted session is backed by the write-ahead journal (one fsync'd
-// record per observation, PR 3), so the on-disk state already *is* the
-// session. The next verb that touches an evicted name transparently
-// resumes it: the factory rebuilds the tuner, replay_journal re-drives it
-// through the journaled rounds (bitwise-identical suggest sequence, proven
-// by tests/test_session.cpp), and the journal re-opens in append mode. A
-// session with an unobserved round in flight is pinned hot — evicting it
-// would orphan its suggestions.
+// record per observation), so the on-disk state already *is* the session.
+// The next verb that touches an evicted name transparently resumes it: the
+// factory rebuilds the tuner over the dataset's shared candidate pool,
+// replay_journal re-drives it through the journaled rounds
+// (bitwise-identical suggest sequence, proven by tests/test_session.cpp),
+// and the journal re-opens in append mode. The replay adopts each
+// journaled batch the tuner can vouch for without refitting and
+// re-suggests the rest, the last one always, so resuming a HiPerBOt
+// session costs one journal read and one fit. The resumed session's round
+// counter continues from the journal's. A session with an unobserved round
+// in flight is pinned hot — evicting it would orphan its suggestions.
 //
 // Observability: the manager emits `session.*` spans (create / resume /
 // evict / close) and `manager.*` counters into its own recorder, and gives
@@ -80,7 +84,7 @@ struct SessionManagerConfig {
   /// (`<journal_dir>/<name>.hpbj`). Created (mkdir -p) by the constructor.
   /// Empty disables journaling — sessions then live only in memory and are
   /// never evicted (there would be nothing to resume from).
-  std::string journal_dir;
+  std::string journal_dir{};
   /// Soft cap on resident (in-memory) sessions across all stripes; each
   /// stripe evicts beyond its share. 0 = unlimited (no eviction).
   std::size_t max_resident = 0;
@@ -98,7 +102,7 @@ struct SessionManagerConfig {
   /// Manager-level observability: `session.*` spans and `manager.*`
   /// counters. Per-session engine metrics go to each session's private
   /// registry, not here.
-  obs::Recorder recorder;
+  obs::Recorder recorder{};
 };
 
 /// What the cold-start scan of the journal directory found. A restarted

@@ -88,6 +88,20 @@ class Tuner {
     return batch;
   }
 
+  /// Journal replay: take `batch` as if suggest_batch(requested) had just
+  /// returned it, without computing a suggestion. A tuner accepts only when
+  /// it can show that its suggestion depended on nothing but state the
+  /// journal already fixes (the observations so far and the outstanding
+  /// suggestions), and then changes exactly what that suggest_batch would
+  /// have changed. Otherwise it returns false and stays untouched, and the
+  /// caller suggests and compares instead. The default never accepts.
+  [[nodiscard]] virtual bool adopt_batch(
+      std::size_t requested, std::span<const space::Configuration> batch) {
+    (void)requested;
+    (void)batch;
+    return false;
+  }
+
   /// Record the results of a previously suggested batch, in suggestion
   /// order. The default routes each member by status — observe() for
   /// successes, observe_failure() for failures; overrides may amortize

@@ -13,18 +13,18 @@ StandardMethods make_standard_methods(
     const core::HiPerBOtConfig& hiperbot_config,
     const baselines::GeistConfig& geist_config) {
   StandardMethods methods;
-  methods.pool = std::make_shared<const std::vector<space::Configuration>>(
-      dataset.configs().begin(), dataset.configs().end());
+  methods.pool = dataset.pool()->shared_configs();
   methods.graph = std::make_shared<const baselines::ConfigGraph>(
       dataset.space(), *methods.pool);
 
   const space::SpacePtr space = dataset.space_ptr();
+  const auto shared = dataset.pool();
   const auto pool = methods.pool;
   const auto graph = methods.graph;
 
-  methods.hiperbot = [space, pool, hiperbot_config](std::uint64_t seed) {
+  methods.hiperbot = [space, shared, hiperbot_config](std::uint64_t seed) {
     return std::make_unique<core::HiPerBOt>(space, hiperbot_config, seed,
-                                            pool);
+                                            shared);
   };
   methods.geist = [space, pool, graph, geist_config](std::uint64_t seed) {
     return std::make_unique<baselines::Geist>(space, geist_config, seed, pool,
@@ -47,11 +47,10 @@ std::unique_ptr<core::Tuner> make_named_tuner(
     const std::string& name, const tabular::TabularObjective& dataset,
     std::uint64_t seed) {
   const space::SpacePtr space = dataset.space_ptr();
-  const auto pool = std::make_shared<const std::vector<space::Configuration>>(
-      dataset.configs().begin(), dataset.configs().end());
+  const auto& pool = dataset.pool()->shared_configs();
   if (name == "hiperbot") {
     return std::make_unique<core::HiPerBOt>(space, core::HiPerBOtConfig{},
-                                            seed, pool);
+                                            seed, dataset.pool());
   }
   if (name == "geist") {
     return std::make_unique<baselines::Geist>(space, baselines::GeistConfig{},

@@ -1,6 +1,6 @@
 // Pre-wired tuner factories for the methods compared in §V (HiPerBOt,
-// GEIST, Random), sharing one enumerated candidate pool and one GEIST
-// graph across all replicated runs of a dataset.
+// GEIST, Random), sharing the dataset's candidate pool (and its column
+// mirror) and one GEIST graph across all replicated runs of a dataset.
 #pragma once
 
 #include <memory>
@@ -32,9 +32,10 @@ struct StandardMethods {
 /// hiperbot, geist, random, gp, anneal, hillclimb, brt.
 [[nodiscard]] const std::vector<std::string>& tuner_names();
 
-/// Construct any implemented tuner by name (used by the CLI). Throws on an
-/// unknown name. The enumerated pool is shared where the method needs one;
-/// GEIST builds its graph internally here, so construct once and reuse for
+/// Construct any implemented tuner by name (used by the CLI and the
+/// daemon's session factory). Throws on an unknown name. Tuners that need
+/// a candidate pool hold the dataset's shared one, never a copy; GEIST
+/// builds its graph internally here, so construct once and reuse for
 /// repeated runs when that matters.
 [[nodiscard]] std::unique_ptr<core::Tuner> make_named_tuner(
     const std::string& name, const tabular::TabularObjective& dataset,

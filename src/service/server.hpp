@@ -29,7 +29,7 @@ struct ServerConfig {
   /// Path for the Unix-domain listener; empty disables it. An existing
   /// socket file at the path is replaced (stale sockets from a crashed
   /// daemon would otherwise block restart forever).
-  std::string unix_path;
+  std::string unix_path{};
   /// TCP listener: enabled when port >= 0 (0 picks an ephemeral port;
   /// port() reports the actual one). Binds to 127.0.0.1 — the service has
   /// no authentication, so remote exposure is an explicit reverse-proxy

@@ -12,17 +12,20 @@ TabularObjective::TabularObjective(std::string name, space::SpacePtr space,
                                    std::vector<double> values)
     : name_(std::move(name)),
       space_(std::move(space)),
-      configs_(std::move(configs)),
       values_(std::move(values)) {
   HPB_REQUIRE(space_ != nullptr, "TabularObjective: null space");
   HPB_REQUIRE(space_->is_finite(), "TabularObjective: space must be finite");
-  HPB_REQUIRE(configs_.size() == values_.size(),
+  HPB_REQUIRE(configs.size() == values_.size(),
               "TabularObjective: configs/values size mismatch");
-  HPB_REQUIRE(!configs_.empty(), "TabularObjective: empty dataset");
-  by_ordinal_.reserve(configs_.size());
-  for (std::size_t i = 0; i < configs_.size(); ++i) {
+  HPB_REQUIRE(!configs.empty(), "TabularObjective: empty dataset");
+  pool_ = std::make_shared<const space::CandidatePool>(
+      space_, std::make_shared<const std::vector<space::Configuration>>(
+                  std::move(configs)));
+  const std::vector<space::Configuration>& list = pool_->configs();
+  by_ordinal_.reserve(list.size());
+  for (std::size_t i = 0; i < list.size(); ++i) {
     const auto [it, inserted] =
-        by_ordinal_.emplace(space_->ordinal_of(configs_[i]), i);
+        by_ordinal_.emplace(space_->ordinal_of(list[i]), i);
     HPB_REQUIRE(inserted, "TabularObjective: duplicate configuration");
   }
   best_index_ = static_cast<std::size_t>(
@@ -80,8 +83,8 @@ void TabularObjective::write_csv(const std::string& path) const {
     out << space_->param(p).name() << ',';
   }
   out << "objective\n";
-  for (std::size_t i = 0; i < configs_.size(); ++i) {
-    const auto& c = configs_[i];
+  for (std::size_t i = 0; i < size(); ++i) {
+    const auto& c = config(i);
     for (std::size_t p = 0; p < space_->num_params(); ++p) {
       if (space_->param(p).is_discrete()) {
         out << space_->param(p).level_label(c.level(p));

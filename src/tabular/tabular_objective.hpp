@@ -3,17 +3,22 @@
 //
 // This mirrors the paper's evaluation protocol: the Kripke/HYPRE/LULESH/
 // OpenAtom "datasets" are tables of (configuration, measured value) pairs,
-// and every tuning method draws its observations from the same table.
+// and every tuning method draws its observations from the same table. The
+// configurations are one shared, immutable candidate pool: every tuner
+// built over the dataset (eval::make_named_tuner) holds that pool instead
+// of a copy, and copies of the dataset share it too.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "space/candidate_pool.hpp"
 #include "space/parameter_space.hpp"
 #include "tabular/objective.hpp"
 
@@ -43,10 +48,10 @@ class TabularObjective final : public Objective {
 
   // Dataset access ----------------------------------------------------------
   [[nodiscard]] space::SpacePtr space_ptr() const noexcept { return space_; }
-  [[nodiscard]] std::size_t size() const noexcept { return configs_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return pool_->size(); }
   [[nodiscard]] const space::Configuration& config(std::size_t i) const {
-    HPB_REQUIRE(i < configs_.size(), "config: index out of range");
-    return configs_[i];
+    HPB_REQUIRE(i < size(), "config: index out of range");
+    return pool_->configs()[i];
   }
   [[nodiscard]] double value(std::size_t i) const {
     HPB_REQUIRE(i < values_.size(), "value: index out of range");
@@ -56,7 +61,13 @@ class TabularObjective final : public Objective {
     return values_;
   }
   [[nodiscard]] std::span<const space::Configuration> configs() const noexcept {
-    return configs_;
+    return pool_->configs();
+  }
+  /// The configurations as the shared candidate pool every tuner over this
+  /// dataset sweeps (its column mirror is built on the first sweep).
+  [[nodiscard]] const std::shared_ptr<const space::CandidatePool>& pool()
+      const noexcept {
+    return pool_;
   }
 
   /// Dense index of a configuration; throws if the configuration is not in
@@ -76,7 +87,7 @@ class TabularObjective final : public Objective {
   [[nodiscard]] double best_value() const noexcept { return best_value_; }
   [[nodiscard]] std::size_t best_index() const noexcept { return best_index_; }
   [[nodiscard]] const space::Configuration& best_config() const {
-    return configs_[best_index_];
+    return pool_->configs()[best_index_];
   }
   [[nodiscard]] double worst_value() const noexcept { return worst_value_; }
 
@@ -94,7 +105,7 @@ class TabularObjective final : public Objective {
  private:
   std::string name_;
   space::SpacePtr space_;
-  std::vector<space::Configuration> configs_;
+  std::shared_ptr<const space::CandidatePool> pool_;
   std::vector<double> values_;
   std::unordered_map<std::uint64_t, std::size_t> by_ordinal_;
   double best_value_ = 0.0;

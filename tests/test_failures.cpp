@@ -371,8 +371,8 @@ TEST(FailEnvParsing, StrictRateParsing) {
   EXPECT_EQ(tabular::fail_rate_from_env(0.5), 0.0);
   for (const char* bad : {"", " ", "nope", "0.5x", "1.0", "-0.1"}) {
     setenv("HPB_FAIL_RATE", bad, 1);
-    EXPECT_THROW(tabular::fail_rate_from_env(0.0), Error) << '"' << bad
-                                                          << '"';
+    EXPECT_THROW((void)tabular::fail_rate_from_env(0.0), Error)
+        << '"' << bad << '"';
   }
   unsetenv("HPB_FAIL_RATE");
   setenv("HPB_CRASH_RATE", "0.05", 1);
@@ -387,7 +387,7 @@ TEST(EvalStatusNames, RoundTrip) {
                              EvalStatus::kCrashed, EvalStatus::kTimeout}) {
     EXPECT_EQ(tabular::status_from_name(tabular::status_name(s)), s);
   }
-  EXPECT_THROW(tabular::status_from_name("partial"), Error);
+  EXPECT_THROW((void)tabular::status_from_name("partial"), Error);
 }
 
 }  // namespace

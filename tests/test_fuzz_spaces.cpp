@@ -29,7 +29,8 @@ space::SpacePtr random_space(Rng& rng) {
   auto s = std::make_shared<ParameterSpace>();
   const std::size_t n_params = 2 + rng.index(4);
   for (std::size_t p = 0; p < n_params; ++p) {
-    const std::string name = "p" + std::to_string(p);
+    std::string name = "p";
+    name += std::to_string(p);
     switch (rng.index(3)) {
       case 0: {
         std::vector<std::string> labels;

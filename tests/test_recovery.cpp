@@ -369,7 +369,10 @@ TEST(RidReplay, RetriedObserveDoesNotDoubleApply) {
   std::string config = "[";
   const auto& values = suggest.find("configs")->as_array()[0].as_array();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    config += (i > 0 ? "," : "") + obs::json_double(values[i].as_number());
+    if (i > 0) {
+      config += ',';
+    }
+    config += obs::json_double(values[i].as_number());
   }
   config += ']';
   const std::string observe =
@@ -421,7 +424,10 @@ TEST(RidReplay, ErrorResponsesAreNotCached) {
   std::string config = "[";
   const auto& values = suggest.find("configs")->as_array()[0].as_array();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    config += (i > 0 ? "," : "") + obs::json_double(values[i].as_number());
+    if (i > 0) {
+      config += ',';
+    }
+    config += obs::json_double(values[i].as_number());
   }
   config += ']';
   ok_json(wire.handle_line(

@@ -9,7 +9,8 @@
 //     through status();
 //   - SessionManager lifecycle: create / duplicate / invalid names,
 //     unknown sessions, close semantics, journal-on-disk collisions,
-//     LRU eviction with resume-on-touch, per-session metrics scopes;
+//     LRU eviction with resume-on-touch, per-session metrics scopes and
+//     their pinned snapshot bytes;
 //   - eviction/resume equivalence: a session force-evicted (and therefore
 //     journal-replayed) at several points suggests the exact same
 //     configuration sequence as one kept hot, for hiperbot / geist /
@@ -446,6 +447,97 @@ TEST(SessionManagerLifecycle, PerSessionMetricsAreScoped) {
   EXPECT_NE(two.find("engine.evaluations"), std::string::npos);
   EXPECT_NE(one.find("engine.evaluations"), std::string::npos);
   EXPECT_NE(two, one) << "sessions must not share a metrics registry";
+}
+
+// ------------------------------------------------ per-session metrics pin
+
+/// A sync and an async managed HiPerBOt session with failures, a fitted
+/// round and a cancel; returns both sessions' metrics snapshots.
+std::pair<std::string, std::string> managed_metrics_snapshots(
+    const std::string& dir_tag) {
+  SessionManager manager(test_factory(), {.journal_dir = fresh_dir(dir_tag)});
+  const auto evaluate = [](std::vector<space::Configuration> batch,
+                           std::size_t fail_every) {
+    std::vector<Observation> out;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (i % fail_every == fail_every - 1) {
+        out.push_back({std::move(batch[i]), std::nan(""),
+                       EvalStatus::kInvalid});
+      } else {
+        const double y = testutil::separable_value(batch[i]);
+        out.push_back({std::move(batch[i]), y, EvalStatus::kOk});
+      }
+    }
+    return out;
+  };
+  manager.create(spec_named("pin-sync", "hiperbot", 4));
+  for (std::size_t round = 0; round < 8; ++round) {
+    (void)manager.observe("pin-sync",
+                          evaluate(manager.suggest("pin-sync", 4), 3));
+  }
+  (void)manager.suggest("pin-sync", 4);
+  EXPECT_EQ(manager.cancel("pin-sync"), 4u);
+
+  SessionSpec async = spec_named("pin-async", "hiperbot", 4);
+  async.mode = core::SessionMode::kAsync;
+  manager.create(async);
+  for (std::size_t step = 0; step < 12; ++step) {
+    std::vector<core::AsyncResult> results;
+    for (const auto& s : manager.suggest_async("pin-async", 4)) {
+      const bool fail = results.size() == 2;
+      results.push_back({s.token, fail ? EvalStatus::kCrashed : EvalStatus::kOk,
+                         fail ? std::nan("")
+                              : testutil::separable_value(s.config)});
+    }
+    const std::uint64_t straggler = results.back().token;
+    results.pop_back();
+    (void)manager.observe_async("pin-async", results);
+    const std::uint64_t cancel[] = {straggler};
+    EXPECT_EQ(manager.cancel("pin-async", cancel), 1u);
+  }
+  return {manager.session_metrics_json("pin-sync"),
+          manager.session_metrics_json("pin-async")};
+}
+
+// Session metrics are looked up once per instrument and then kept; the
+// snapshot a client reads must not change by a byte.
+TEST(SessionManagerLifecycle, PerSessionMetricsSnapshotIsPinned) {
+  const auto [sync, async] = managed_metrics_snapshots("mgr_metrics_pin");
+  EXPECT_EQ(sync, R"json({
+  "engine.best_value": {"type":"gauge","value":1},
+  "engine.cancelled_rounds": {"type":"counter","value":1},
+  "engine.eval_ms": {"type":"histogram","count":0,"sum":0,"buckets":[{"le":0.01,"count":0},{"le":0.05,"count":0},{"le":0.1,"count":0},{"le":0.5,"count":0},{"le":1,"count":0},{"le":5,"count":0},{"le":1e+01,"count":0},{"le":5e+01,"count":0},{"le":1e+02,"count":0},{"le":5e+02,"count":0},{"le":1e+03,"count":0},{"le":5e+03,"count":0},{"le":1e+04,"count":0},{"le":6e+04,"count":0},{"le":"inf","count":0}]},
+  "engine.eval_retries": {"type":"counter","value":0},
+  "engine.evaluations": {"type":"counter","value":32},
+  "engine.failures": {"type":"counter","value":8},
+  "engine.rounds": {"type":"counter","value":8},
+  "hiperbot.acquisition_best": {"type":"gauge","value":0.5695161750211386},
+  "hiperbot.bad_size": {"type":"gauge","value":28},
+  "hiperbot.excluded": {"type":"gauge","value":36},
+  "hiperbot.fits": {"type":"counter","value":2},
+  "hiperbot.good_size": {"type":"gauge","value":4},
+  "hiperbot.kde_bandwidth": {"type":"gauge","value":0},
+  "hiperbot.sweeps": {"type":"counter","value":2},
+  "hiperbot.threshold": {"type":"gauge","value":3}
+}
+)json");
+  EXPECT_EQ(async, R"json({
+  "engine.asks": {"type":"counter","value":12},
+  "engine.best_value": {"type":"gauge","value":2},
+  "engine.cancelled_tokens": {"type":"counter","value":12},
+  "engine.evaluations": {"type":"counter","value":36},
+  "engine.failures": {"type":"counter","value":12},
+  "engine.outstanding": {"type":"gauge","value":0},
+  "hiperbot.acquisition_best": {"type":"gauge","value":1.9510201078183962},
+  "hiperbot.bad_size": {"type":"gauge","value":29},
+  "hiperbot.excluded": {"type":"gauge","value":37},
+  "hiperbot.fits": {"type":"counter","value":2},
+  "hiperbot.good_size": {"type":"gauge","value":4},
+  "hiperbot.kde_bandwidth": {"type":"gauge","value":0},
+  "hiperbot.sweeps": {"type":"counter","value":2},
+  "hiperbot.threshold": {"type":"gauge","value":4}
+}
+)json");
 }
 
 // ------------------------------------------- eviction/resume equivalence

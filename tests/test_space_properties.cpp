@@ -600,7 +600,9 @@ TEST(EnumerateGuard, HugeSpaceFailsFastWithStructuredError) {
     for (std::size_t l = 0; l < values.size(); ++l) {
       values[l] = static_cast<double>(l);
     }
-    s->add(Parameter::categorical_numeric("p" + std::to_string(i), values));
+    std::string name = "p";
+    name += std::to_string(i);
+    s->add(Parameter::categorical_numeric(name, values));
   }
   ASSERT_EQ(s->cross_product_size(), 1ULL << 40);
   try {
@@ -622,7 +624,9 @@ TEST(EnumerateGuard, CrossProductOverflowIsDetectedNotWrapped) {
     for (std::size_t l = 0; l < values.size(); ++l) {
       values[l] = static_cast<double>(l);
     }
-    s->add(Parameter::categorical_numeric("p" + std::to_string(i), values));
+    std::string name = "p";
+    name += std::to_string(i);
+    s->add(Parameter::categorical_numeric(name, values));
   }
   try {
     (void)s->cross_product_size();

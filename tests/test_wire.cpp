@@ -749,8 +749,11 @@ TEST(LineServerTest, ConcurrentClientsShareOneManager) {
     clients.emplace_back([&stack, c] {
       LineClient client = LineClient::connect_tcp(stack.server.port());
       for (int s = 0; s < kSessionsEach; ++s) {
-        drive_session_via(client,
-                          "c" + std::to_string(c) + "s" + std::to_string(s));
+        std::string name = "c";
+        name += std::to_string(c);
+        name += 's';
+        name += std::to_string(s);
+        drive_session_via(client, name);
       }
     });
   }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 build + test suite, then an
+# Full verification: the tier-1 build + test suite, a warning-free build
+# of every target with -DHPB_WERROR=ON, then an
 # AddressSanitizer + UBSan build running the engine determinism /
 # batching / pending-tracking tests (tests/test_engine.cpp), the
 # failure-path + thread-pool tests (tests/test_failures.cpp), the
@@ -8,7 +9,9 @@
 # async-token / wire-protocol tests (tests/test_session.cpp,
 # tests/test_async.cpp, tests/test_wire.cpp), and the daemon
 # survivability tests (tests/test_recovery.cpp: cold-start recovery,
-# fault-injected disk errors, rid replay, overload shedding, drain), and
+# fault-injected disk errors, rid replay, overload shedding, drain), the
+# resume tests (tests/test_resume.cpp: adopted journal replay, resumed
+# trace bytes, the shared pool's column mirror), and
 # the space-layer property tests (tests/test_space_properties.cpp:
 # streamed candidate generation over conditional/constrained spaces,
 # pooled-vs-streamed bitwise parity, sentinel round trips, enumerate
@@ -25,7 +28,8 @@
 # subset (engine, thread pool, watchdog, shutdown, metrics hot path,
 # session manager, line server, recovery/overload/drain, streamed-sweep
 # and streamed-generation thread-count invariance, the prefix filter that
-# parallel sweep workers compile on first use); then a fault-injected
+# parallel sweep workers compile on first use, concurrent first fits
+# building one shared column mirror); then a fault-injected
 # shootout smoke run (HPB_FAIL_RATE=0.2), a CLI crash-resume smoke
 # (journal a run, truncate the journal mid-record, resume, and require
 # the identical history CSV), a tuning-service storm smoke
@@ -48,12 +52,17 @@ cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo
+echo "== warning-free build: every target with -DHPB_WERROR=ON =="
+cmake -B build-werror -S . -DHPB_WERROR=ON
+cmake --build build-werror -j "$jobs"
+
+echo
 echo "== ASan + UBSan: engine + failure-path + journal + observability + service tests =="
 cmake -B build-asan -S . -DHPB_SANITIZE=address \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects'
+  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects|AdoptedReplay|ResumedTrace|SharedPoolColumns'
 
 echo
 echo "== ASan, HPB_SIMD forced: dispatch parity under every runnable tier =="
@@ -84,7 +93,7 @@ cmake -B build-tsan -S . -DHPB_SANITIZE=thread \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects'
+  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects|AdoptedReplay|ResumedTrace|SharedPoolColumns'
 
 echo
 echo "== TSan, HPB_SIMD forced: threaded sweeps under every runnable tier =="
