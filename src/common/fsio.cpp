@@ -4,11 +4,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -101,6 +103,36 @@ void maybe_inject_fault(const std::string& path) {
   throw_io("injected fault on '" + path + "'", err);
 }
 
+// ------------------------------------------------------- sync observation
+
+struct SyncWatch {
+  std::mutex mutex;
+  SyncObserver observer;
+  std::atomic<bool> armed{false};
+};
+
+SyncWatch& sync_watch() {
+  static SyncWatch watch;
+  return watch;
+}
+
+void notify_sync(int fd, const std::string& path) {
+  SyncWatch& watch = sync_watch();
+  if (!watch.armed.load(std::memory_order_acquire)) {
+    return;
+  }
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    throw_io("fstat '" + path + "'", errno);
+  }
+  // Called under the lock: once set_sync_observer() returns, the observer
+  // it replaced is never called again, so its captures may die.
+  std::lock_guard<std::mutex> lock(watch.mutex);
+  if (watch.observer) {
+    watch.observer(path, static_cast<std::uint64_t>(st.st_size));
+  }
+}
+
 std::string parent_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) {
@@ -127,6 +159,13 @@ std::uint64_t fault_ops_matched() {
   return state.matched;
 }
 
+void set_sync_observer(SyncObserver observer) {
+  SyncWatch& watch = sync_watch();
+  std::lock_guard<std::mutex> lock(watch.mutex);
+  watch.armed.store(static_cast<bool>(observer), std::memory_order_release);
+  watch.observer = std::move(observer);
+}
+
 void write_all(int fd, std::string_view data, const std::string& path) {
   maybe_inject_fault(path);
   while (!data.empty()) {
@@ -146,6 +185,7 @@ void sync_fd(int fd, const std::string& path) {
   if (::fsync(fd) != 0) {
     throw_io("fsync '" + path + "'", errno);
   }
+  notify_sync(fd, path);
 }
 
 void sync_parent_dir(const std::string& path) {

@@ -19,9 +19,14 @@
 // Once armed, the (skip+1)-th write/fsync touching a path that contains
 // <path-substring> — and every one after it — throws IoError with the
 // named errno, exactly as a real full disk would at that point.
+//
+// Sync observation: set_sync_observer() lets a test see every successful
+// fsync together with the file's size at that moment — what an OS crash
+// would keep of the file.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -46,6 +51,16 @@ void clear_fault_plan();
 /// Matching write/fsync ops observed since the plan was armed (injected
 /// ones included). Test hook.
 [[nodiscard]] std::uint64_t fault_ops_matched();
+
+/// Receives the path and the file's size after each successful sync_fd
+/// (the directory syncs of sync_parent_dir included).
+using SyncObserver =
+    std::function<void(const std::string& path, std::uint64_t size)>;
+
+/// Install (or, with an empty function, remove) the process-wide sync
+/// observer. Test hook: calls are serialized under a mutex, and while no
+/// observer is installed sync_fd pays one atomic load for it.
+void set_sync_observer(SyncObserver observer);
 
 /// Write all of `data` to `fd` (restarting on EINTR), honoring the fault
 /// plan. Throws hpb::IoError on failure. Shared by the journal writer so

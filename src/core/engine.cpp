@@ -108,7 +108,8 @@ TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
 
 TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
                              std::size_t budget,
-                             std::span<const Observation> replayed) const {
+                             std::span<const Observation> replayed,
+                             std::size_t replayed_rounds) const {
   HPB_REQUIRE(budget > 0, "run_tuning: budget must be positive");
   if (config_.recorder.active()) {
     tuner.set_recorder(&config_.recorder);
@@ -119,7 +120,7 @@ TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
   Session session(tuner, session_config({.max_evaluations = budget}),
                   config_.journal);
   session.reserve(std::max(budget, replayed.size()));
-  session.replay(replayed);
+  session.replay(replayed, replayed_rounds);
   while (session.evaluations() < budget) {
     const std::size_t k =
         std::min(config_.batch_size, budget - session.evaluations());
@@ -137,7 +138,8 @@ StoppedTuneResult TuningEngine::run_until(Tuner& tuner,
 
 StoppedTuneResult TuningEngine::run_until(
     Tuner& tuner, tabular::Objective& objective, const StopConfig& config,
-    std::span<const Observation> replayed) const {
+    std::span<const Observation> replayed,
+    std::size_t replayed_rounds) const {
   HPB_REQUIRE(config.max_evaluations > 0,
               "run_tuning_until: max_evaluations must be positive");
   HPB_REQUIRE(config.min_relative_improvement >= 0.0,
@@ -160,7 +162,7 @@ StoppedTuneResult TuningEngine::run_until(
     return out;
   };
 
-  session.replay(replayed);
+  session.replay(replayed, replayed_rounds);
   if (session.stopped()) {
     return finish(session.stop_reason());
   }

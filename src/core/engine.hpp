@@ -56,9 +56,9 @@ struct EngineConfig {
   /// evaluate_result(c) call path.
   std::chrono::milliseconds eval_deadline{0};
   /// Write-ahead journal appended each round (round marker after
-  /// suggest_batch, one record per observation after evaluation) and
-  /// finalized when a run completes. nullptr disables journaling. Not
-  /// owned; must outlive the run.
+  /// suggest_batch, then one record per observation after evaluation, all
+  /// in one write and one fsync) and finalized when a run completes.
+  /// nullptr disables journaling. Not owned; must outlive the run.
   JournalWriter* journal = nullptr;
   /// Graceful-shutdown flag (typically raised by a SIGINT/SIGTERM
   /// handler), checked between rounds and propagated to evaluations via
@@ -89,9 +89,13 @@ class TuningEngine {
   /// Resuming variant: `replayed` observations (from replay_journal, which
   /// already drove them through the tuner) are recorded into the result
   /// first and count toward `budget`; only the remainder is evaluated.
+  /// `replayed_rounds` is the journal's round count, observed and
+  /// abandoned: the round counter (the round span's index) continues from
+  /// it, as in the run that wrote the journal.
   [[nodiscard]] TuneResult run(Tuner& tuner, tabular::Objective& objective,
                                std::size_t budget,
-                               std::span<const Observation> replayed) const;
+                               std::span<const Observation> replayed,
+                               std::size_t replayed_rounds = 0) const;
 
   /// Run until a stopping condition fires. Stopping conditions are checked
   /// per observation — stagnation patience counts every observation,
@@ -108,10 +112,11 @@ class TuningEngine {
   /// Resuming variant of run_until: replayed observations pass through the
   /// same per-observation stopping bookkeeping (stagnation counters, target
   /// checks) before fresh rounds start, so a resumed session stops exactly
-  /// where the uninterrupted one would have.
+  /// where the uninterrupted one would have. `replayed_rounds` as for run.
   [[nodiscard]] StoppedTuneResult run_until(
       Tuner& tuner, tabular::Objective& objective, const StopConfig& config,
-      std::span<const Observation> replayed) const;
+      std::span<const Observation> replayed,
+      std::size_t replayed_rounds = 0) const;
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 

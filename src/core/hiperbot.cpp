@@ -169,7 +169,11 @@ void HiPerBOt::finish_sweep(const SweepClock& clock, std::string_view mode,
                             std::span<const obs::TraceAttr> source,
                             std::size_t k) const {
   if (recorder_ != nullptr && recorder_->metrics != nullptr) {
-    recorder_->metrics->counter("hiperbot.sweeps").add(1);
+    FitMeters& m = fit_meters(*recorder_->metrics);
+    if (m.sweeps == nullptr) {
+      m.sweeps = &recorder_->metrics->counter("hiperbot.sweeps");
+    }
+    m.sweeps->add(1);
   }
   if (!clock.tracing) {
     return;
@@ -489,15 +493,24 @@ void HiPerBOt::export_fit(const TpeSurrogate& s, double chosen_score) const {
   const obs::Recorder& rec = *recorder_;
   const std::uint64_t excluded = evaluated_.size() + pending_.size();
   if (rec.metrics != nullptr) {
-    rec.metrics->counter("hiperbot.fits").add(1);
-    rec.metrics->gauge("hiperbot.good_size")
-        .set(static_cast<double>(s.num_good()));
-    rec.metrics->gauge("hiperbot.bad_size")
-        .set(static_cast<double>(s.num_bad()));
-    rec.metrics->gauge("hiperbot.threshold").set(s.threshold());
-    rec.metrics->gauge("hiperbot.kde_bandwidth").set(s.mean_kde_bandwidth());
-    rec.metrics->gauge("hiperbot.excluded").set(static_cast<double>(excluded));
-    rec.metrics->gauge("hiperbot.acquisition_best").set(chosen_score);
+    FitMeters& m = fit_meters(*rec.metrics);
+    if (m.fits == nullptr) {
+      obs::MetricsRegistry& registry = *rec.metrics;
+      m.fits = &registry.counter("hiperbot.fits");
+      m.good_size = &registry.gauge("hiperbot.good_size");
+      m.bad_size = &registry.gauge("hiperbot.bad_size");
+      m.threshold = &registry.gauge("hiperbot.threshold");
+      m.kde_bandwidth = &registry.gauge("hiperbot.kde_bandwidth");
+      m.excluded = &registry.gauge("hiperbot.excluded");
+      m.acquisition_best = &registry.gauge("hiperbot.acquisition_best");
+    }
+    m.fits->add(1);
+    m.good_size->set(static_cast<double>(s.num_good()));
+    m.bad_size->set(static_cast<double>(s.num_bad()));
+    m.threshold->set(s.threshold());
+    m.kde_bandwidth->set(s.mean_kde_bandwidth());
+    m.excluded->set(static_cast<double>(excluded));
+    m.acquisition_best->set(chosen_score);
   }
   if (rec.trace != nullptr) {
     const std::uint64_t now = rec.now_ns();
@@ -521,6 +534,14 @@ void HiPerBOt::export_fit(const TpeSurrogate& s, double chosen_score) const {
                      .end_ns = now,
                      .attrs = attrs});
   }
+}
+
+HiPerBOt::FitMeters& HiPerBOt::fit_meters(
+    const obs::MetricsRegistry& registry) const {
+  if (meters_.registry != registry.serial()) {
+    meters_ = FitMeters{.registry = registry.serial()};
+  }
+  return meters_;
 }
 
 TpeSurrogate HiPerBOt::fit_surrogate() const {

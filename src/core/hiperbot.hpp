@@ -214,6 +214,26 @@ class HiPerBOt final : public Tuner {
   /// proposes exactly the configurations an untraced one would.
   void export_fit(const TpeSurrogate& s, double chosen_score) const;
 
+  /// hiperbot.* instruments of the recorder's registry. Each group is
+  /// looked up on its first use and kept with the serial of the registry
+  /// it came from (0 = none yet): a lookup takes the registry's mutex, and
+  /// every fitted suggest would otherwise pay eight of them.
+  struct FitMeters {
+    std::uint64_t registry = 0;
+    obs::Counter* sweeps = nullptr;
+    obs::Counter* fits = nullptr;
+    obs::Gauge* good_size = nullptr;
+    obs::Gauge* bad_size = nullptr;
+    obs::Gauge* threshold = nullptr;
+    obs::Gauge* kde_bandwidth = nullptr;
+    obs::Gauge* excluded = nullptr;
+    obs::Gauge* acquisition_best = nullptr;
+  };
+  /// The kept meters, dropped first when `registry` is not the one they
+  /// came from (set_recorder installed another recorder).
+  [[nodiscard]] FitMeters& fit_meters(
+      const obs::MetricsRegistry& registry) const;
+
   space::SpacePtr space_;
   HiPerBOtConfig config_;
   Rng rng_;
@@ -239,6 +259,7 @@ class HiPerBOt final : public Tuner {
   std::optional<AcquisitionTable> table_cache_;
   std::optional<TransferPrior> prior_;
   std::vector<space::Configuration> initial_queue_;  // LHS design, if any
+  mutable FitMeters meters_;
 };
 
 }  // namespace hpb::core

@@ -116,15 +116,15 @@ JournalWriter::~JournalWriter() {
   }
 }
 
-void JournalWriter::write_line(std::string_view line) {
+void JournalWriter::write_lines(std::string_view lines, bool sync) {
   HPB_REQUIRE(fd_ >= 0, "JournalWriter: writer was moved from or closed");
-  std::string buf(line);
-  buf.push_back('\n');
   // fs::write_all + sync_fd throw hpb::IoError on a real (or injected)
   // disk fault; the session above marks itself degraded instead of the
   // process dying — the durable prefix on disk is still a valid journal.
-  fs::write_all(fd_, buf, path_);
-  fs::sync_fd(fd_, path_);
+  fs::write_all(fd_, lines, path_);
+  if (sync) {
+    fs::sync_fd(fd_, path_);
+  }
 }
 
 JournalWriter JournalWriter::create(const std::string& path,
@@ -167,8 +167,8 @@ JournalWriter JournalWriter::create(const std::string& path,
        << "meta target " << hex16(header.target_value) << '\n'
        << "meta fail_rate " << hex16(header.fail_rate) << '\n'
        << "meta crash_rate " << hex16(header.crash_rate) << '\n'
-       << "meta hang_rate " << hex16(header.hang_rate);
-  writer.write_line(head.str());
+       << "meta hang_rate " << hex16(header.hang_rate) << '\n';
+  writer.write_lines(head.str(), /*sync=*/true);
   fs::sync_parent_dir(path);
   return writer;
 }
@@ -195,6 +195,9 @@ JournalWriter JournalWriter::append(const std::string& path,
                   err);
   }
   JournalWriter writer(path, fd, contents.rounds.size());
+  // A journal left by a killed process can hold lines that were written
+  // but never flushed, and the resume acts on them: make them durable
+  // before any verb is acknowledged on top of them.
   fs::sync_fd(fd, path);
   return writer;
 }
@@ -203,24 +206,31 @@ void JournalWriter::begin_round(std::size_t requested, std::size_t actual) {
   HPB_REQUIRE(actual > 0 && actual <= requested,
               "journal begin_round: actual batch out of range");
   std::ostringstream line;
-  line << "round " << next_round_ << ' ' << requested << ' ' << actual;
-  write_line(line.str());
+  line << "round " << next_round_ << ' ' << requested << ' ' << actual
+       << '\n';
+  write_lines(line.str(), /*sync=*/false);
   ++next_round_;
 }
 
-void JournalWriter::append_observation(const Observation& o) {
-  std::ostringstream line;
-  line << "obs " << tabular::status_name(o.status) << ' ' << hex16(o.y);
-  for (std::size_t p = 0; p < o.config.size(); ++p) {
-    line << ' ' << hex16(o.config[p]);
+void JournalWriter::append_observations(
+    std::span<const Observation> observations) {
+  HPB_REQUIRE(!observations.empty(),
+              "journal append_observations: no observations");
+  std::ostringstream lines;
+  for (const Observation& o : observations) {
+    lines << "obs " << tabular::status_name(o.status) << ' ' << hex16(o.y);
+    for (std::size_t p = 0; p < o.config.size(); ++p) {
+      lines << ' ' << hex16(o.config[p]);
+    }
+    lines << '\n';
   }
-  write_line(line.str());
+  write_lines(lines.str(), /*sync=*/true);
 }
 
 void JournalWriter::abandon_round() {
   HPB_REQUIRE(next_round_ > 0,
               "journal abandon_round: no round has been opened");
-  write_line("abandon");
+  write_lines("abandon\n", /*sync=*/true);
 }
 
 void JournalWriter::begin_ask(std::size_t requested,
@@ -236,21 +246,32 @@ void JournalWriter::begin_ask(std::size_t requested,
       line << ' ' << hex16(c[p]);
     }
   }
-  write_line(line.str());
+  line << '\n';
+  write_lines(line.str(), /*sync=*/true);
 }
 
-void JournalWriter::append_async_observation(std::uint64_t token,
-                                             const Observation& o) {
-  std::ostringstream line;
-  line << "aobs " << token << ' ' << tabular::status_name(o.status) << ' '
-       << hex16(o.y);
-  write_line(line.str());
+void JournalWriter::append_async_observations(
+    std::span<const std::uint64_t> tokens,
+    std::span<const Observation> observations) {
+  HPB_REQUIRE(!tokens.empty() && tokens.size() == observations.size(),
+              "journal append_async_observations: need one observation per "
+              "token");
+  std::ostringstream lines;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    lines << "aobs " << tokens[i] << ' '
+          << tabular::status_name(observations[i].status) << ' '
+          << hex16(observations[i].y) << '\n';
+  }
+  write_lines(lines.str(), /*sync=*/true);
 }
 
-void JournalWriter::append_cancel(std::uint64_t token) {
-  std::ostringstream line;
-  line << "acancel " << token;
-  write_line(line.str());
+void JournalWriter::append_cancels(std::span<const std::uint64_t> tokens) {
+  HPB_REQUIRE(!tokens.empty(), "journal append_cancels: no tokens");
+  std::ostringstream lines;
+  for (const std::uint64_t token : tokens) {
+    lines << "acancel " << token << '\n';
+  }
+  write_lines(lines.str(), /*sync=*/true);
 }
 
 void JournalWriter::finalize(std::string_view reason) {
@@ -258,7 +279,8 @@ void JournalWriter::finalize(std::string_view reason) {
               "journal finalize: reason must be a single non-empty line");
   std::string line = "end ";
   line += reason;
-  write_line(line);
+  line += '\n';
+  write_lines(line, /*sync=*/true);
 }
 
 // ---------------------------------------------------------------- reader

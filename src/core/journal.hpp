@@ -1,11 +1,12 @@
 // Write-ahead observation journal: crash-tolerant persistence for tuning
 // sessions.
 //
-// The TuningEngine appends one fsync'd record per observation, so the
-// on-disk state is always a valid prefix of the run: kill -9 the process at
-// any byte and what survives is the header plus zero or more complete
-// rounds (a torn tail — a partial line or a half-written round — is
-// detected and dropped by the reader). Resume is replay-based: tuners are
+// The TuningEngine appends one record per observation, each verb's records
+// in one write(2) and one fsync before the tuner sees them, so the on-disk
+// state is always a valid prefix of the run: kill -9 the process (or crash
+// the OS) at any byte and what survives is the header plus zero or more
+// complete rounds (a torn tail — a partial line or a half-written round —
+// is detected and dropped by the reader). Resume is replay-based: tuners are
 // deterministic given their suggest/observe call sequence, so driving a
 // fresh tuner through the journal's rounds — each journaled batch entered
 // as the suggest that produced it, observations answered from the journal
@@ -37,14 +38,16 @@
 // and before evaluation; its records follow once the round is evaluated. A
 // round with fewer than <actual> records is incomplete and is dropped on
 // resume — its evaluations are re-run, which is safe because the tuner
-// state that produced them is reconstructed exactly. A round marker may
+// state that produced them is reconstructed exactly. The marker is
+// therefore not synced on its own: alone it recovers nothing, and the
+// fsync of its records makes it durable with them. A round marker may
 // instead be followed by a single `abandon` line: the round was cancelled
 // whole (client died mid-round), replay re-suggests it and abandons every
 // member, and the session keeps going instead of wedging.
 //
 // Asynchronous sessions (`meta mode async` in the header) journal a
-// different, event-oriented body — one self-contained fsync'd line per
-// verb, in verb order:
+// different, event-oriented body — self-contained lines, one write and one
+// fsync per verb, in verb order:
 //
 //   ask <requested> <first_token> <actual> <cfg-bits ...>
 //   aobs <token> <status> <y-bits>
@@ -53,11 +56,13 @@
 // `ask` lines carry the suggested configurations (actual * num_params
 // 16-hex-digit values, configuration-major) and assign the consecutive
 // tokens first_token .. first_token+actual-1; `aobs`/`acancel` resolve one
-// token in completion order. The ask line is durable *before* its tokens
-// are returned to any client, so a replayed journal's outstanding-token set
-// always covers every token a client could have seen; completions arrive in
-// any order and replay re-applies them in the exact journaled order, which
-// is what makes an async resume bitwise-deterministic.
+// token each in completion order (an observe or cancel verb of several
+// tokens writes one line per token). The ask line is durable *before* its
+// tokens are returned to any client, so a replayed journal's
+// outstanding-token set always covers every token a client could have
+// seen; completions arrive in any order and replay re-applies them in the
+// exact journaled order, which is what makes an async resume
+// bitwise-deterministic.
 #pragma once
 
 #include <cstdint>
@@ -154,9 +159,12 @@ struct JournalContents {
   }
 };
 
-/// Appending writer. Every line is written with a single write(2) followed
-/// by fsync, so a crash can only tear the final line — never reorder or
-/// interleave records.
+/// Appending writer, one call per verb. Each call writes all of the verb's
+/// lines with a single write(2), so a crash can only tear the verb's tail
+/// — never reorder or interleave records — and fsyncs once before it
+/// returns, except begin_round: a round marker alone recovers nothing (the
+/// reader drops a round whose records are missing), so it rides along with
+/// the fsync of the round's observe or abandon.
 class JournalWriter {
  public:
   /// Start a fresh journal at `path` (truncating any existing file) and
@@ -178,11 +186,13 @@ class JournalWriter {
   ~JournalWriter();
 
   /// Open a round: the engine requested `requested` configurations and the
-  /// tuner returned `actual`. Written before evaluation starts.
+  /// tuner returned `actual`. Written before evaluation starts, and not
+  /// synced: the round's observations or its abandon marker sync it.
   void begin_round(std::size_t requested, std::size_t actual);
 
-  /// Append one evaluated observation of the current round.
-  void append_observation(const Observation& o);
+  /// Durably append the evaluated observations of the current round, in
+  /// suggestion order.
+  void append_observations(std::span<const Observation> observations);
 
   /// Abandon the round opened by the last begin_round before any of its
   /// observations were appended: the client evaluating it died or cancelled.
@@ -196,11 +206,14 @@ class JournalWriter {
   void begin_ask(std::size_t requested, std::uint64_t first_token,
                  std::span<const space::Configuration> batch);
 
-  /// Async sessions: durably record one completed evaluation (any order).
-  void append_async_observation(std::uint64_t token, const Observation& o);
+  /// Async sessions: durably record completed evaluations — observation i
+  /// resolves tokens[i] — in delivery order, whatever order the tokens were
+  /// handed out in.
+  void append_async_observations(std::span<const std::uint64_t> tokens,
+                                 std::span<const Observation> observations);
 
-  /// Async sessions: durably record the cancellation of one token.
-  void append_cancel(std::uint64_t token);
+  /// Async sessions: durably record the cancellation of these tokens.
+  void append_cancels(std::span<const std::uint64_t> tokens);
 
   /// Durably mark the session complete (e.g. "budget_exhausted"). Not
   /// called on interruption — an unfinalized journal is what resume
@@ -212,7 +225,9 @@ class JournalWriter {
  private:
   JournalWriter(std::string path, int fd, std::size_t next_round);
 
-  void write_line(std::string_view line);
+  /// Append `lines` (each '\n'-terminated) with one write(2), then fsync
+  /// when `sync`.
+  void write_lines(std::string_view lines, bool sync);
 
   std::string path_;
   int fd_ = -1;

@@ -143,7 +143,10 @@ std::vector<space::Configuration> Session::suggest(std::size_t k) {
                      .attrs = attrs});
   }
   // The round marker goes out before evaluation starts: a crash mid-round
-  // leaves an incomplete round the reader drops and re-evaluates.
+  // leaves an incomplete round the reader drops and re-evaluates. It is not
+  // synced (alone it recovers nothing; the observe's fsync makes it durable
+  // with its records), but writing it still degrades the session on a
+  // failing disk before the client spends time evaluating the round.
   if (journal_ != nullptr) {
     journal_op("begin_round",
                [&] { journal_->begin_round(k, batch.size()); });
@@ -224,13 +227,14 @@ void Session::observe(std::vector<Observation> observations,
       eval_ms.record(static_cast<double>(m.end_ns - m.start_ns) * 1e-6);
     }
   }
-  // Records hit the disk before the tuner sees them: on-disk state always
-  // leads in-memory state, so replay can reconstruct the tuner exactly.
+  // Records hit the disk, in one write and one fsync, before the tuner sees
+  // any of them: on-disk state always leads in-memory state, so replay can
+  // reconstruct the tuner exactly.
   if (journal_ != nullptr) {
-    for (std::size_t i = 0; i < observations.size(); ++i) {
-      journal_op("append_observation",
-                 [&] { journal_->append_observation(observations[i]); });
-      if (tracing) {
+    journal_op("append_observations",
+               [&] { journal_->append_observations(observations); });
+    if (tracing) {
+      for (std::size_t i = 0; i < observations.size(); ++i) {
         const std::uint64_t ts = rec.now_ns();
         const obs::TraceAttr attrs[] = {obs::TraceAttr::uint("index", i)};
         rec.trace->emit({.name = "journal.append",
@@ -406,21 +410,32 @@ void Session::observe_async(std::span<const AsyncResult> results) {
                 "Session::observe_async: a successful observation must "
                 "carry a finite value");
   }
+  std::vector<std::uint64_t> tokens;
+  std::vector<Observation> delivered;
+  tokens.reserve(results.size());
+  delivered.reserve(results.size());
+  for (const AsyncResult& r : results) {
+    Observation o;
+    o.config = outstanding_.find(r.token)->second;
+    o.status = r.status;
+    o.y = r.ok() ? r.y : std::numeric_limits<double>::quiet_NaN();
+    tokens.push_back(r.token);
+    delivered.push_back(std::move(o));
+  }
+  // Disk before tuner: the whole delivery is durable, in one write and one
+  // fsync, before the tuner sees any of it, and replay re-applies the
+  // completions in the exact journaled order.
+  if (journal_ != nullptr) {
+    journal_op("append_async_observations", [&] {
+      journal_->append_async_observations(tokens, delivered);
+    });
+  }
   const obs::Recorder& rec = config_.recorder;
   const bool tracing = rec.tracing();
   std::size_t failed = 0;
-  for (const AsyncResult& r : results) {
-    const auto it = outstanding_.find(r.token);
-    Observation o;
-    o.config = it->second;
-    o.status = r.status;
-    o.y = r.ok() ? r.y : std::numeric_limits<double>::quiet_NaN();
-    // Disk before tuner, per token: replay re-applies completions in the
-    // exact journaled order.
-    if (journal_ != nullptr) {
-      journal_op("append_async_observation",
-                 [&] { journal_->append_async_observation(r.token, o); });
-    }
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    const AsyncResult& r = results[i];
+    Observation& o = delivered[i];
     const std::uint64_t start = tracing ? rec.now_ns() : 0;
     if (o.ok()) {
       tuner_->observe(o.config, o.y);
@@ -439,7 +454,7 @@ void Session::observe_async(std::span<const AsyncResult> results) {
                        .end_ns = rec.now_ns(),
                        .attrs = attrs});
     }
-    outstanding_.erase(it);
+    outstanding_.erase(r.token);
     apply(std::move(o));
   }
   if (rec.metrics != nullptr) {
@@ -477,11 +492,11 @@ std::size_t Session::cancel_async(std::span<const std::uint64_t> tokens) {
     }
     to_cancel.assign(tokens.begin(), tokens.end());
   }
+  if (journal_ != nullptr && !to_cancel.empty()) {
+    journal_op("append_cancels", [&] { journal_->append_cancels(to_cancel); });
+  }
   for (const std::uint64_t token : to_cancel) {
     const auto it = outstanding_.find(token);
-    if (journal_ != nullptr) {
-      journal_op("append_cancel", [&] { journal_->append_cancel(token); });
-    }
     tuner_->abandon(it->second);
     outstanding_.erase(it);
   }

@@ -165,10 +165,11 @@ struct SessionStatus {
 /// Durability report for eviction decisions: what survives if the
 /// in-memory session is dropped right now.
 struct SessionCheckpoint {
-  /// True when a write-ahead journal backs the session. The journal is
-  /// fsync'd per record, so a journaled session is always durable up to
-  /// its last completed observation — checkpoint() reports, it never has
-  /// to flush.
+  /// True when a write-ahead journal backs the session. Every verb but a
+  /// sync suggest fsyncs its records before it returns (a round marker
+  /// alone recovers nothing and is synced with its round's records), so a
+  /// journaled session is always durable up to its last completed verb —
+  /// checkpoint() reports, it never has to flush.
   bool journaled = false;
   std::string journal_path;
   std::size_t rounds = 0;

@@ -9,8 +9,9 @@
 //
 // Cold eviction: when a stripe exceeds its share of `max_resident`, its
 // least-recently-used idle session is dropped from memory. Nothing is lost
-// — every hosted session is backed by the write-ahead journal (one fsync'd
-// record per observation), so the on-disk state already *is* the session.
+// — every hosted session is backed by the write-ahead journal (one write
+// and one fsync per verb, before the verb returns), so the on-disk state
+// already *is* the session.
 // The next verb that touches an evicted name transparently resumes it: the
 // factory rebuilds the tuner over the dataset's shared candidate pool,
 // replay_journal re-drives it through the journaled rounds
@@ -210,8 +211,8 @@ class SessionManager {
   [[nodiscard]] std::size_t degraded_count() const;
 
   /// Drain support: take a durability checkpoint of every resident idle
-  /// session (journals are fsync'd per record, so this verifies rather
-  /// than flushes) and emit a `manager.checkpoint` span per session.
+  /// session (journals are fsync'd per verb, so this verifies rather than
+  /// flushes) and emit a `manager.checkpoint` span per session.
   /// Returns the number of sessions checkpointed.
   std::size_t checkpoint_all();
 

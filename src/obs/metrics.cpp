@@ -59,6 +59,11 @@ std::span<const double> default_latency_buckets_ms() {
   return kBuckets;
 }
 
+std::uint64_t MetricsRegistry::next_serial() noexcept {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   Instrument& slot = instruments_[name];

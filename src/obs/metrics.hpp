@@ -105,7 +105,14 @@ class MetricsRegistry {
   /// Atomically (tmp + rename) write to_json() to `path`.
   void write_json(const std::string& path) const;
 
+  /// Process-unique and never reused, unlike the registry's address: a
+  /// cache of handles keyed by it cannot mistake a new registry for a
+  /// destroyed one that lived at the same address.
+  [[nodiscard]] std::uint64_t serial() const noexcept { return serial_; }
+
  private:
+  [[nodiscard]] static std::uint64_t next_serial() noexcept;
+
   struct Instrument {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
@@ -114,6 +121,7 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;  // registration + snapshot only
   std::map<std::string, Instrument> instruments_;
+  std::uint64_t serial_ = next_serial();
 };
 
 }  // namespace hpb::obs

@@ -28,6 +28,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,6 +43,7 @@
 #include "core/stopping.hpp"
 #include "eval/experiment.hpp"
 #include "eval/methods.hpp"
+#include "obs/trace.hpp"
 #include "tabular/fault_injection.hpp"
 #include "test_util.hpp"
 
@@ -129,8 +132,7 @@ TEST(JournalRoundTrip, HeaderRoundsAndFinalizeSurviveReadBack) {
     Observation ok{ds.configs()[5], 17.5, tabular::EvalStatus::kOk};
     Observation bad{ds.configs()[9], std::nan(""),
                     tabular::EvalStatus::kInvalid};
-    writer.append_observation(ok);
-    writer.append_observation(bad);
+    writer.append_observations(std::vector<Observation>{ok, bad});
     writer.finalize("stagnation");
   }
   const JournalContents contents = core::read_journal(path);
@@ -175,8 +177,8 @@ TEST(JournalRoundTrip, ExtremeDoubleBitsRoundTripExactly) {
     JournalWriter writer = JournalWriter::create(path, header);
     for (const double v : values) {
       writer.begin_round(1, 1);
-      writer.append_observation({ds.configs()[0], v,
-                                 tabular::EvalStatus::kOk});
+      const Observation o{ds.configs()[0], v, tabular::EvalStatus::kOk};
+      writer.append_observations(std::span(&o, 1));
     }
   }
   const JournalContents contents = core::read_journal(path);
@@ -206,8 +208,8 @@ TEST(JournalRoundTrip, ReopeningACleanJournalLeavesItsBytesAndMtime) {
     JournalWriter writer =
         JournalWriter::create(path, make_header(ds, "random", 1, 10));
     writer.begin_round(1, 1);
-    writer.append_observation({ds.configs()[3], 2.5,
-                               tabular::EvalStatus::kOk});
+    const Observation o{ds.configs()[3], 2.5, tabular::EvalStatus::kOk};
+    writer.append_observations(std::span(&o, 1));
   }
   const std::string bytes = slurp(path);
   const JournalContents contents = core::read_journal(path);
@@ -534,6 +536,77 @@ TEST(GracefulShutdown, StopFlagInterruptsBetweenRoundsAndResumes) {
   EXPECT_TRUE(core::read_journal(path).finalized);
 }
 
+/// The `round` attribute of every round span in a JSON-lines trace, in
+/// file order.
+std::vector<std::size_t> traced_rounds(const std::string& path) {
+  const std::string span = "\"name\":\"round\"";
+  const std::string attr = "\"attrs\":{\"round\":";
+  std::vector<std::size_t> rounds;
+  std::istringstream lines(slurp(path));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(span) == std::string::npos) {
+      continue;
+    }
+    const std::size_t at = line.find(attr);
+    EXPECT_NE(at, std::string::npos) << line;
+    if (at != std::string::npos) {
+      rounds.push_back(std::stoul(line.substr(at + attr.size())));
+    }
+  }
+  return rounds;
+}
+
+TEST(GracefulShutdown, ResumedRunContinuesTheRoundCounter) {
+  // A round span's `round` attribute is the session's round counter, the
+  // value status().rounds reports. Resumed with the journal's round count
+  // (what `hiperbot tune --resume` passes), a run stopped after k rounds
+  // numbers its next round k, and the stitched trace counts 0..n-1 like an
+  // uninterrupted run's.
+  auto ds = testutil::separable_dataset();
+  constexpr std::size_t kBatch = 2;
+  constexpr std::size_t kBudget = 16;
+  StopConfig stop;
+  stop.max_evaluations = kBudget;
+  const std::string path = temp_path("round_counter.hpbj");
+  const std::string trace = temp_path("round_counter.jsonl");
+  {
+    // The "signal" lands during round 2, which still drains.
+    std::atomic<bool> flag{false};
+    SelfInterruptingObjective interrupting(ds, 5, &flag);
+    auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
+    JournalWriter writer = JournalWriter::create(
+        path, make_header(ds, "hiperbot", kBatch, kBudget));
+    obs::JsonlTraceSink sink = obs::JsonlTraceSink::create(trace);
+    const TuningEngine engine({.batch_size = kBatch,
+                               .journal = &writer,
+                               .stop_flag = &flag,
+                               .recorder = {.trace = &sink}});
+    EXPECT_EQ(engine.run_until(*tuner, interrupting, stop).reason,
+              StopReason::kInterrupted);
+  }
+  const JournalContents contents = core::read_journal(path);
+  ASSERT_EQ(contents.rounds.size(), 3u);
+  EXPECT_EQ(traced_rounds(trace), (std::vector<std::size_t>{0, 1, 2}));
+  {
+    auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
+    const std::vector<Observation> replayed =
+        core::replay_journal(*tuner, ds.space(), contents);
+    JournalWriter writer = JournalWriter::append(path, contents);
+    obs::JsonlTraceSink sink = obs::JsonlTraceSink::append_to(trace);
+    const TuningEngine engine({.batch_size = kBatch,
+                               .journal = &writer,
+                               .recorder = {.trace = &sink}});
+    EXPECT_EQ(engine
+                  .run_until(*tuner, ds, stop, replayed,
+                             contents.rounds.size())
+                  .reason,
+              StopReason::kBudgetExhausted);
+  }
+  std::vector<std::size_t> expected(kBudget / kBatch);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(traced_rounds(trace), expected);
+}
+
 TEST(GracefulShutdown, PreRaisedFlagYieldsEmptyInterruptedResult) {
   auto ds = testutil::separable_dataset();
   std::atomic<bool> flag{true};
@@ -715,10 +788,10 @@ void expect_valid_salvage(const JournalContents& contents,
   {
     JournalWriter writer = JournalWriter::append(path, again);
     writer.begin_round(1, 1);
-    writer.append_observation(
-        {space::Configuration(std::vector<double>(
-             contents.header.num_params, 0.0)),
-         1.0, tabular::EvalStatus::kOk});
+    const Observation o{space::Configuration(std::vector<double>(
+                            contents.header.num_params, 0.0)),
+                        1.0, tabular::EvalStatus::kOk};
+    writer.append_observations(std::span(&o, 1));
   }
   const JournalContents extended = core::read_journal(path);
   EXPECT_EQ(extended.rounds.size(), contents.rounds.size() + 1);
@@ -779,8 +852,8 @@ TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
     JournalWriter writer =
         JournalWriter::create(path, make_header(ds, "random", 1, 4));
     writer.begin_round(1, 1);
-    writer.append_observation({ds.configs()[0], 2.0,
-                               tabular::EvalStatus::kOk});
+    const Observation o{ds.configs()[0], 2.0, tabular::EvalStatus::kOk};
+    writer.append_observations(std::span(&o, 1));
   }
   std::string bytes = slurp(path);
   // Forge a second round whose ok record carries NaN bits.

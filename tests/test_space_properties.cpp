@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -415,7 +416,8 @@ TEST(SentinelRoundTrip, JournalAppendReplayIsExactOnSystolicConfigs) {
       const Configuration c = tuner.suggest();
       const double y = ds.value_of(c);
       writer.begin_round(1, 1);
-      writer.append_observation({c, y, tabular::EvalStatus::kOk});
+      const core::Observation o{c, y, tabular::EvalStatus::kOk};
+      writer.append_observations(std::span(&o, 1));
       tuner.observe(c, y);
     }
   }

@@ -11,7 +11,9 @@
 # survivability tests (tests/test_recovery.cpp: cold-start recovery,
 # fault-injected disk errors, rid replay, overload shedding, drain), the
 # resume tests (tests/test_resume.cpp: adopted journal replay, resumed
-# trace bytes, the shared pool's column mirror), and
+# trace bytes, the shared pool's column mirror), the durability tests
+# (tests/test_durability.cpp: every acknowledged verb survives a journal
+# cut to its last fsync, and the fsyncs each verb pays), and
 # the space-layer property tests (tests/test_space_properties.cpp:
 # streamed candidate generation over conditional/constrained spaces,
 # pooled-vs-streamed bitwise parity, sentinel round trips, enumerate
@@ -62,7 +64,7 @@ cmake -B build-asan -S . -DHPB_SANITIZE=address \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects|AdoptedReplay|ResumedTrace|SharedPoolColumns'
+  -R 'Engine|HiPerBOtPending|EnvParsing|Failure|ThreadPool|EvalStatus|HistoryCsv|FailEnv|Journal|Watchdog|Cancellation|GracefulShutdown|WallClock|AtomicHistory|DurabilityEnv|KillAndResume|Metrics|TraceSink|ObsEngine|RegressionQuality|Acquisition|SuggestPending|Session|Eviction|JsonParser|JsonNumbers|Wire|LineServer|Async|SyncCancel|CrossMode|Recovery|FaultInjection|RidReplay|Overload|Drain|Health|SpaceProperties|StreamedSweep|SentinelRoundTrip|EnumerateGuard|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects|AdoptedReplay|ResumedTrace|SharedPoolColumns|AckedDurability|JournalSyncs'
 
 echo
 echo "== ASan, HPB_SIMD forced: dispatch parity under every runnable tier =="
@@ -93,7 +95,7 @@ cmake -B build-tsan -S . -DHPB_SANITIZE=thread \
   -DHPB_BUILD_BENCH=OFF -DHPB_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$jobs"
 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects|AdoptedReplay|ResumedTrace|SharedPoolColumns'
+  -R 'Engine|ThreadPool|Watchdog|Cancellation|GracefulShutdown|WallClock|Failure|Metrics|JournalFuzz|RegressionQuality|Acquisition|SessionManager|LineServer|AsyncFuzz|AsyncEvictionResume|Recovery|FaultInjection|Overload|Drain|SpaceProperties|StreamedSweep|SimdDispatch|StreamingTopk|FixedDivisor|LevelRules|PrefixFilter|StreamedGeneration|SweepGolden|SweepExhaustion|WarmStartRejects|AdoptedReplay|ResumedTrace|SharedPoolColumns|AckedDurability|JournalSyncs'
 
 echo
 echo "== TSan, HPB_SIMD forced: threaded sweeps under every runnable tier =="

@@ -260,7 +260,8 @@ int cmd_tune(const hpb::cli::ArgParser& args) {
                     .metrics = metrics_out.empty() ? nullptr : &metrics}});
   // Pass-through when all rates are 0 (the default).
   hpb::tabular::FaultInjectingObjective faulty(ds, faults);
-  const auto stopped = engine.run_until(*tuner, faulty, stop, replayed);
+  const auto stopped = engine.run_until(*tuner, faulty, stop, replayed,
+                                        resumed ? resumed->rounds.size() : 0);
   const auto& result = stopped.result;
   std::cout << "method:      " << tuner->name() << '\n'
             << "evaluations: " << result.history.size() << " (stopped: ";
@@ -444,7 +445,7 @@ int cmd_serve(const hpb::cli::ArgParser& args) {
   server.serve();
   if (g_drain.load(std::memory_order_relaxed) &&
       !g_stop.load(std::memory_order_relaxed)) {
-    // Journals are fsync'd per record; the checkpoint sweep verifies every
+    // Journals are fsync'd per verb; the checkpoint sweep verifies every
     // resident session's durability before the process exits.
     const std::size_t checkpointed = manager.checkpoint_all();
     std::cout << "drained; checkpointed " << checkpointed
