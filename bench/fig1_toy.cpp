@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
 #include "figure_common.hpp"
 #include "tabular/objective.hpp"
 

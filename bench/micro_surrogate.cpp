@@ -8,7 +8,6 @@
 #include "apps/lulesh.hpp"
 #include "core/engine.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
 #include "core/surrogate.hpp"
 #include "stats/histogram.hpp"
 #include "stats/kde.hpp"
@@ -63,7 +62,7 @@ void BM_FullSuggestObserve(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     hpb::core::HiPerBOt tuner(ds.space_ptr(), {}, 7);
-    (void)hpb::core::run_tuning(tuner, ds, 150);
+    (void)hpb::core::TuningEngine().run(tuner, ds, 150);
     state.ResumeTiming();
     const auto c = tuner.suggest();
     benchmark::DoNotOptimize(&c);
@@ -81,7 +80,7 @@ void BM_WholeTuningRun(benchmark::State& state) {
   auto ds = hpb::apps::make_lulesh();
   for (auto _ : state) {
     hpb::core::HiPerBOt tuner(ds.space_ptr(), {}, 11);
-    const auto result = hpb::core::run_tuning(tuner, ds, 150);
+    const auto result = hpb::core::TuningEngine().run(tuner, ds, 150);
     benchmark::DoNotOptimize(result.best_value);
   }
 }

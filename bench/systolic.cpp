@@ -30,7 +30,7 @@
 #include "baselines/ridge_tuner.hpp"
 #include "common/rng.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "space/candidate_stream.hpp"
 
 namespace hpb {
@@ -123,7 +123,8 @@ int run(bool smoke, const std::string& out_path) {
     Rng seeder(0x5157011C + results.size());
     for (std::size_t rep = 0; rep < seeds; ++rep) {
       auto tuner = make(seeder.next_u64());
-      const auto run_result = core::run_tuning(*tuner, objective, budget);
+      const auto run_result =
+          core::TuningEngine().run(*tuner, objective, budget);
       r.best_values.push_back(run_result.best_value);
     }
     std::printf("%-10s median %.6g  min %.6g  max %.6g\n", name.c_str(),

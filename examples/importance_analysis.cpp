@@ -10,7 +10,7 @@
 #include "apps/lulesh.hpp"
 #include "core/hiperbot.hpp"
 #include "core/importance.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 
 namespace {
 
@@ -35,7 +35,7 @@ int main() {
   // A short HiPerBOt run — 200 evaluations, under 4% of the space.
   hpb::core::HiPerBOtConfig config;
   hpb::core::HiPerBOt tuner(dataset.space_ptr(), config, 123);
-  (void)hpb::core::run_tuning(tuner, dataset, 200);
+  (void)hpb::core::TuningEngine().run(tuner, dataset, 200);
 
   std::vector<hpb::space::Configuration> configs;
   std::vector<double> values;

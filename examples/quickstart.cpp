@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "tabular/objective.hpp"
 
 namespace {
@@ -57,7 +57,7 @@ int main() {
 
   hpb::core::HiPerBOt tuner(objective.space_ptr(), config, /*seed=*/42);
   const hpb::core::TuneResult result =
-      hpb::core::run_tuning(tuner, objective, /*budget=*/60);
+      hpb::core::TuningEngine().run(tuner, objective, /*budget=*/60);
 
   std::cout << "evaluations: " << result.history.size() << '\n'
             << "best value:  " << result.best_value << "  (true optimum 0.5)\n"

@@ -7,7 +7,7 @@
 
 #include "apps/transfer.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "eval/metrics.hpp"
 
 int main() {
@@ -34,7 +34,8 @@ int main() {
           pair.source.space_ptr(), pair.source.configs(),
           pair.source.values(), config.quantile));
     }
-    const auto result = hpb::core::run_tuning(tuner, pair.target, kBudget);
+    const auto result =
+        hpb::core::TuningEngine().run(tuner, pair.target, kBudget);
     const double recall = hpb::eval::recall_tolerance(
         pair.target, result.history, kBudget, 0.10);
     std::cout << (with_prior ? "with source prior:   " : "cold start:          ")

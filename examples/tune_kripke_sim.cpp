@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "apps/kripke.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "eval/methods.hpp"
 #include "eval/metrics.hpp"
 
@@ -36,7 +36,7 @@ int main() {
             << "% of the space):\n\n";
   for (const auto& row : rows) {
     auto tuner = (*row.factory)(/*seed=*/2020);
-    const auto result = hpb::core::run_tuning(*tuner, dataset, kBudget);
+    const auto result = hpb::core::TuningEngine().run(*tuner, dataset, kBudget);
     const double recall =
         hpb::eval::recall_percentile(dataset, result.history, kBudget, 5.0);
     std::cout << std::left << std::setw(10) << row.name

@@ -13,7 +13,6 @@
 #include "apps/minisolver.hpp"
 #include "apps/minisweep.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
 
 namespace {
 

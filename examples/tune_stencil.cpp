@@ -10,7 +10,6 @@
 
 #include "apps/stencil.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
 
 int main() {
   hpb::apps::StencilWorkload workload;

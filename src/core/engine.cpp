@@ -6,7 +6,6 @@
 
 #include "common/cancellation.hpp"
 #include "common/error.hpp"
-#include "core/journal.hpp"
 
 namespace hpb::core {
 
@@ -102,15 +101,9 @@ void TuningEngine::drive_round(Session& session, tabular::Objective& objective,
 }
 
 TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
-                             std::size_t budget) const {
-  return run(tuner, objective, budget, {});
-}
-
-TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
                              std::size_t budget,
-                             std::span<const Observation> replayed,
-                             std::size_t replayed_rounds) const {
-  HPB_REQUIRE(budget > 0, "run_tuning: budget must be positive");
+                             const ReplayResult& replayed) const {
+  HPB_REQUIRE(budget > 0, "TuningEngine::run: budget must be positive");
   if (config_.recorder.active()) {
     tuner.set_recorder(&config_.recorder);
   }
@@ -119,8 +112,8 @@ TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
   // StopConfig below only sizes the bookkeeping.
   Session session(tuner, session_config({.max_evaluations = budget}),
                   config_.journal);
-  session.reserve(std::max(budget, replayed.size()));
-  session.replay(replayed, replayed_rounds);
+  session.reserve(std::max(budget, replayed.observations.size()));
+  session.replay(replayed);
   while (session.evaluations() < budget) {
     const std::size_t k =
         std::min(config_.batch_size, budget - session.evaluations());
@@ -130,22 +123,15 @@ TuneResult TuningEngine::run(Tuner& tuner, tabular::Objective& objective,
   return session.take_result();
 }
 
-StoppedTuneResult TuningEngine::run_until(Tuner& tuner,
-                                          tabular::Objective& objective,
-                                          const StopConfig& config) const {
-  return run_until(tuner, objective, config, {});
-}
-
 StoppedTuneResult TuningEngine::run_until(
     Tuner& tuner, tabular::Objective& objective, const StopConfig& config,
-    std::span<const Observation> replayed,
-    std::size_t replayed_rounds) const {
+    const ReplayResult& replayed) const {
   HPB_REQUIRE(config.max_evaluations > 0,
-              "run_tuning_until: max_evaluations must be positive");
+              "TuningEngine::run_until: max_evaluations must be positive");
   HPB_REQUIRE(config.min_relative_improvement >= 0.0,
-              "run_tuning_until: min_relative_improvement must be >= 0");
+              "TuningEngine::run_until: min_relative_improvement must be >= 0");
   HPB_REQUIRE(config.max_wall_time_seconds >= 0.0,
-              "run_tuning_until: max_wall_time_seconds must be >= 0");
+              "TuningEngine::run_until: max_wall_time_seconds must be >= 0");
   if (config_.recorder.active()) {
     tuner.set_recorder(&config_.recorder);
   }
@@ -162,7 +148,7 @@ StoppedTuneResult TuningEngine::run_until(
     return out;
   };
 
-  session.replay(replayed, replayed_rounds);
+  session.replay(replayed);
   if (session.stopped()) {
     return finish(session.stop_reason());
   }

@@ -5,15 +5,15 @@
 // configurations (Session::suggest → tuner.suggest_batch), evaluates them —
 // in parallel on a ThreadPool when one is supplied — and delivers the
 // results back in suggestion order (Session::observe → tuner.observe_batch).
-// The session owns all per-run state (journal, recorder emissions, pending
-// round, best-so-far, stopping bookkeeping); the engine owns only the
-// evaluation of the objective (worker pool, watchdog, retry policy) and the
-// decision of when to stop driving. A run over the session split is
+// The session owns all per-run state (journal, recorder emissions, the
+// round in flight, best-so-far, stopping bookkeeping); the engine owns only
+// the evaluation of the objective (worker pool, watchdog, retry policy) and
+// the decision of when to stop driving. A run over the session split is
 // bitwise-identical to the pre-split single-function driver — history,
 // journal bytes, and trace spans all match (pinned by
 // tests/test_session.cpp), so the paper's curves do not move. With
-// batch_size == 1 the engine still reproduces the historical serial loop
-// exactly (run_tuning / run_tuning_until are thin shims).
+// batch_size == 1 the engine reproduces the historical serial ask/tell
+// loop exactly (pinned by tests/test_engine.cpp).
 //
 // Parallel evaluation requires a thread-safe objective — true for
 // TabularObjective, whose evaluate() is a read-only table lookup; live
@@ -23,9 +23,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <span>
 
 #include "common/thread_pool.hpp"
+#include "core/journal.hpp"
 #include "core/session.hpp"
 #include "core/stopping.hpp"
 #include "core/tuner.hpp"
@@ -33,8 +33,6 @@
 #include "tabular/objective.hpp"
 
 namespace hpb::core {
-
-class JournalWriter;
 
 struct EngineConfig {
   /// Configurations evaluated per suggest/observe round. 1 reproduces the
@@ -82,20 +80,14 @@ class TuningEngine {
 
   /// Run exactly `budget` evaluations (the final round shrinks to fit; a
   /// tuner returning short batches near exhaustion just triggers more
-  /// rounds).
-  [[nodiscard]] TuneResult run(Tuner& tuner, tabular::Objective& objective,
-                               std::size_t budget) const;
-
-  /// Resuming variant: `replayed` observations (from replay_journal, which
-  /// already drove them through the tuner) are recorded into the result
-  /// first and count toward `budget`; only the remainder is evaluated.
-  /// `replayed_rounds` is the journal's round count, observed and
-  /// abandoned: the round counter (the round span's index) continues from
-  /// it, as in the run that wrote the journal.
+  /// rounds). A resumed run passes what replay_journal reconstructed (it
+  /// already drove the tuner): the `replayed` observations are recorded
+  /// into the result first and count toward `budget`, only the remainder
+  /// is evaluated, and the round counter (the round span's index)
+  /// continues from the journal's rounds, observed and abandoned.
   [[nodiscard]] TuneResult run(Tuner& tuner, tabular::Objective& objective,
                                std::size_t budget,
-                               std::span<const Observation> replayed,
-                               std::size_t replayed_rounds = 0) const;
+                               const ReplayResult& replayed = {}) const;
 
   /// Run until a stopping condition fires. Stopping conditions are checked
   /// per observation — stagnation patience counts every observation,
@@ -105,18 +97,13 @@ class TuningEngine {
   /// tuner via observe_batch), so reported counts match actual spend. At
   /// batch_size == 1 this is exactly the serial driver's behavior.
   /// The stop flag and max_wall_time_seconds are checked between rounds.
-  [[nodiscard]] StoppedTuneResult run_until(Tuner& tuner,
-                                            tabular::Objective& objective,
-                                            const StopConfig& config) const;
-
-  /// Resuming variant of run_until: replayed observations pass through the
-  /// same per-observation stopping bookkeeping (stagnation counters, target
+  /// `replayed` as for run: replayed observations pass through the same
+  /// per-observation stopping bookkeeping (stagnation counters, target
   /// checks) before fresh rounds start, so a resumed session stops exactly
-  /// where the uninterrupted one would have. `replayed_rounds` as for run.
+  /// where the uninterrupted one would have.
   [[nodiscard]] StoppedTuneResult run_until(
       Tuner& tuner, tabular::Objective& objective, const StopConfig& config,
-      std::span<const Observation> replayed,
-      std::size_t replayed_rounds = 0) const;
+      const ReplayResult& replayed = {}) const;
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 

@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -85,6 +85,37 @@ std::vector<std::string_view> split_all(std::string_view line) {
 }
 
 std::string errno_text() { return std::strerror(errno); }
+
+/// Append the configurations in `tokens`, `num_params` bit patterns each,
+/// to `out`; false on a malformed value.
+bool parse_configs(std::span<const std::string_view> tokens,
+                   std::size_t num_params,
+                   std::vector<space::Configuration>& out) {
+  for (std::size_t at = 0; at < tokens.size(); at += num_params) {
+    std::vector<double> values(num_params, 0.0);
+    for (std::size_t p = 0; p < num_params; ++p) {
+      if (!parse_bits(tokens[at + p], values[p])) {
+        return false;
+      }
+    }
+    out.emplace_back(std::move(values));
+  }
+  return true;
+}
+
+/// Parse a record's status and objective bits into `out`. A successful
+/// record never carries NaN (the writer reserves it for failed records),
+/// so NaN bits under an ok status are corruption; infinities stay legal:
+/// extreme objective values round-trip exactly.
+bool parse_result(std::string_view status, std::string_view bits,
+                  AsyncResult& out) {
+  try {
+    out.status = tabular::status_from_name(std::string(status));
+  } catch (const Error&) {
+    return false;
+  }
+  return parse_bits(bits, out.y) && !(out.ok() && std::isnan(out.y));
+}
 
 }  // namespace
 
@@ -194,7 +225,7 @@ JournalWriter JournalWriter::append(const std::string& path,
     throw IoError("journal truncate '" + path + "': " + std::strerror(err),
                   err);
   }
-  JournalWriter writer(path, fd, contents.rounds.size());
+  JournalWriter writer(path, fd, contents.num_asks());
   // A journal left by a killed process can hold lines that were written
   // but never flushed, and the resume acts on them: make them durable
   // before any verb is acknowledged on top of them.
@@ -370,103 +401,44 @@ JournalContents read_journal(const std::string& path) {
   HPB_REQUIRE(!h.method.empty() && h.num_params > 0 && h.batch_size > 0,
               "read_journal: incomplete header in '" + path + "'");
 
-  if (h.async) {
-    // Asynchronous body: one self-contained event line per verb. Every
-    // valid line extends the durable prefix on its own — there is no
-    // multi-line round to tear, only the final line.
-    std::unordered_map<std::uint64_t, space::Configuration> outstanding;
-    std::uint64_t next_token = 1;
-    for (;;) {
-      if (!next_line(line)) {
-        break;
-      }
-      const auto tokens = split_all(line);
-      if (tokens.size() == 2 && tokens[0] == "end") {
-        contents.finalized = true;
-        contents.finish_reason = tokens[1];
-        break;  // valid_bytes deliberately excludes the end marker
-      }
-      AsyncEvent event;
-      if (tokens.size() >= 4 && tokens[0] == "ask") {
-        std::uint64_t requested = 0, first_token = 0, actual = 0;
-        if (!parse_u64(tokens[1], requested) ||
-            !parse_u64(tokens[2], first_token) ||
-            !parse_u64(tokens[3], actual) || actual == 0 ||
-            actual > requested || first_token != next_token ||
-            tokens.size() != 4 + actual * h.num_params) {
-          break;  // torn or foreign tail; the prefix so far stands
-        }
-        event.kind = AsyncEvent::Kind::kAsk;
-        event.requested = static_cast<std::size_t>(requested);
-        event.first_token = first_token;
-        bool ok = true;
-        for (std::uint64_t i = 0; i < actual && ok; ++i) {
-          std::vector<double> values(h.num_params, 0.0);
-          for (std::size_t p = 0; p < h.num_params && ok; ++p) {
-            ok = parse_bits(tokens[4 + i * h.num_params + p], values[p]);
-          }
-          if (ok) {
-            event.configs.emplace_back(std::move(values));
-          }
-        }
-        if (!ok) {
-          break;
-        }
-        for (std::uint64_t i = 0; i < actual; ++i) {
-          outstanding.emplace(first_token + i, event.configs[i]);
-        }
-        next_token = first_token + actual;
-      } else if (tokens.size() == 4 && tokens[0] == "aobs") {
-        std::uint64_t token = 0;
-        if (!parse_u64(tokens[1], token)) {
-          break;
-        }
-        const auto it = outstanding.find(token);
-        if (it == outstanding.end()) {
-          break;  // unknown/already-resolved token: corruption, stop here
-        }
-        event.kind = AsyncEvent::Kind::kObserve;
-        event.token = token;
-        try {
-          event.observation.status =
-              tabular::status_from_name(std::string(tokens[2]));
-        } catch (const Error&) {
-          break;
-        }
-        if (!parse_bits(tokens[3], event.observation.y)) {
-          break;
-        }
-        // NaN under an ok status is corruption, exactly as for sync obs
-        // records; infinities stay legal.
-        if (event.observation.status == tabular::EvalStatus::kOk &&
-            std::isnan(event.observation.y)) {
-          break;
-        }
-        event.observation.config = it->second;
-        outstanding.erase(it);
-      } else if (tokens.size() == 2 && tokens[0] == "acancel") {
-        std::uint64_t token = 0;
-        if (!parse_u64(tokens[1], token)) {
-          break;
-        }
-        const auto it = outstanding.find(token);
-        if (it == outstanding.end()) {
-          break;
-        }
-        event.kind = AsyncEvent::Kind::kCancel;
-        event.token = token;
-        event.observation.config = it->second;
-        outstanding.erase(it);
-      } else {
-        break;
-      }
-      contents.events.push_back(std::move(event));
-      contents.valid_bytes = offset;
+  // Both bodies, until the end marker, EOF, or the first torn or malformed
+  // line, into one event list. A verb is parsed whole before its events
+  // are committed, so a rejected verb leaves nothing behind: the prefix so
+  // far stands, and valid_bytes ends with the last complete verb.
+  // open[t] is true while token t is issued and unresolved; token 0 is
+  // never issued, so open.size() is the next token.
+  std::vector<bool> open(1, false);
+  std::size_t asks = 0;
+  auto ask = [&](std::size_t requested, std::size_t actual,
+                 std::vector<space::Configuration> configs) {
+    JournalEvent event;
+    event.requested = requested;
+    event.actual = actual;
+    event.first_token = open.size();
+    event.configs = std::move(configs);
+    open.resize(open.size() + actual, true);
+    contents.events.push_back(std::move(event));
+    ++asks;
+  };
+  auto is_open = [&](std::string_view tok, std::uint64_t& token) {
+    return parse_u64(tok, token) && token < open.size() && open[token];
+  };
+  auto observe = [&](std::vector<AsyncResult> results) {
+    JournalEvent event;
+    event.kind = JournalEvent::Kind::kObserve;
+    for (const AsyncResult& r : results) {
+      open[r.token] = false;
     }
-    return contents;
-  }
-
-  // Rounds, until the end marker, EOF, or the first torn/malformed line.
+    event.results = std::move(results);
+    contents.events.push_back(std::move(event));
+  };
+  auto cancel = [&](std::uint64_t token) {
+    JournalEvent event;
+    event.kind = JournalEvent::Kind::kCancel;
+    event.token = token;
+    open[token] = false;
+    contents.events.push_back(std::move(event));
+  };
   for (;;) {
     if (!next_line(line)) {
       break;
@@ -477,69 +449,79 @@ JournalContents read_journal(const std::string& path) {
       contents.finish_reason = tokens[1];
       break;  // valid_bytes deliberately excludes the end marker
     }
-    std::uint64_t index = 0, requested = 0, actual = 0;
+    std::uint64_t requested = 0, first = 0, actual = 0, token = 0;
+    AsyncResult result;
+    std::vector<space::Configuration> configs;
+    if (h.async) {
+      // Asynchronous body: one self-contained line per event.
+      if (tokens.size() >= 4 && tokens[0] == "ask") {
+        if (!parse_u64(tokens[1], requested) ||
+            !parse_u64(tokens[2], first) || !parse_u64(tokens[3], actual) ||
+            actual == 0 || actual > requested || first != open.size() ||
+            tokens.size() != 4 + actual * h.num_params ||
+            !parse_configs(std::span(tokens).subspan(4), h.num_params,
+                           configs)) {
+          break;
+        }
+        ask(requested, actual, std::move(configs));
+      } else if (tokens.size() == 4 && tokens[0] == "aobs" &&
+                 is_open(tokens[1], token) &&
+                 parse_result(tokens[2], tokens[3], result)) {
+        result.token = token;
+        observe({result});
+      } else if (tokens.size() == 2 && tokens[0] == "acancel" &&
+                 is_open(tokens[1], token)) {
+        cancel(token);
+      } else {
+        break;  // torn or foreign tail, or an unknown/resolved token
+      }
+      contents.valid_bytes = offset;
+      continue;
+    }
+    // Synchronous body: a round marker, then `actual` obs records or one
+    // abandon line. The round becomes an ask, then one observe of the
+    // whole round or a cancel of each token.
+    std::uint64_t index = 0;
     if (tokens.size() != 4 || tokens[0] != "round" ||
         !parse_u64(tokens[1], index) || !parse_u64(tokens[2], requested) ||
-        !parse_u64(tokens[3], actual) || index != contents.rounds.size() ||
-        actual == 0 || actual > requested) {
-      break;  // torn or foreign tail; the prefix so far stands
+        !parse_u64(tokens[3], actual) || index != asks || actual == 0 ||
+        actual > requested) {
+      break;
     }
-    JournalRound round;
-    round.requested = static_cast<std::size_t>(requested);
-    round.actual = static_cast<std::size_t>(actual);
-    bool complete = true;
-    for (std::uint64_t i = 0; i < actual; ++i) {
+    first = open.size();
+    std::vector<AsyncResult> results;
+    bool abandoned = false;
+    while (results.size() < actual) {
       if (!next_line(line)) {
-        complete = false;
         break;
       }
       // A round marker directly followed by an abandon marker is a
-      // cancelled round: no observations ever existed, and replay
-      // re-suggests then abandons it instead of re-evaluating.
-      if (i == 0 && line == "abandon") {
-        round.abandoned = true;
+      // cancelled round: no observations ever existed.
+      if (results.empty() && line == "abandon") {
+        abandoned = true;
         break;
       }
       tokens = split_all(line);
-      if (tokens.size() != 3 + h.num_params || tokens[0] != "obs") {
-        complete = false;
+      if (tokens.size() != 3 + h.num_params || tokens[0] != "obs" ||
+          !parse_result(tokens[1], tokens[2], result) ||
+          !parse_configs(std::span(tokens).subspan(3), h.num_params,
+                         configs)) {
         break;
       }
-      Observation o;
-      try {
-        o.status = tabular::status_from_name(std::string(tokens[1]));
-      } catch (const Error&) {
-        complete = false;
-        break;
-      }
-      if (!parse_bits(tokens[2], o.y)) {
-        complete = false;
-        break;
-      }
-      // A successful observation never carries NaN (the writer reserves it
-      // for failed records), so NaN bits under an ok status are corruption.
-      // Infinities stay legal: extreme objective values round-trip exactly.
-      if (o.status == tabular::EvalStatus::kOk && std::isnan(o.y)) {
-        complete = false;
-        break;
-      }
-      std::vector<double> values(h.num_params, 0.0);
-      for (std::size_t p = 0; p < h.num_params; ++p) {
-        if (!parse_bits(tokens[3 + p], values[p])) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) {
-        break;
-      }
-      o.config = space::Configuration(std::move(values));
-      round.observations.push_back(std::move(o));
+      result.token = first + results.size();
+      results.push_back(result);
     }
-    if (!complete) {
+    if (!abandoned && results.size() < actual) {
       break;  // incomplete round: dropped, will be re-evaluated on resume
     }
-    contents.rounds.push_back(std::move(round));
+    ask(requested, actual, std::move(configs));
+    if (abandoned) {
+      for (std::uint64_t i = 0; i < actual; ++i) {
+        cancel(first + i);
+      }
+    } else {
+      observe(std::move(results));
+    }
     contents.valid_bytes = offset;
   }
   return contents;
@@ -549,149 +531,113 @@ JournalContents read_journal(const std::string& path) {
 
 namespace {
 
-/// Re-enter one journaled batch — round `index` of a sync journal or ask
-/// event `index` of an async one (`what` names which) — into `tuner` as
-/// the suggest that produced it. Any batch but the journal's last is first
-/// offered to Tuner::adopt_batch, which skips the fit when the tuner can
-/// show the suggestion is already fixed by the journal. The last batch, and
-/// every batch the tuner declines, is re-suggested and compared bit for
-/// bit, so a wrong method, seed, or dataset still fails the resume.
-void replay_batch(Tuner& tuner, std::size_t requested,
-                  std::span<const space::Configuration> journaled,
-                  bool last, const char* what, std::size_t index) {
-  if (!last && tuner.adopt_batch(requested, journaled)) {
-    return;
+/// Re-enter ask `index` of the journal — a round of a sync journal (`what`
+/// names which) — into `tuner` as the suggest that produced it, and return
+/// its configurations. Any ask but the journal's `last` with
+/// configurations is first offered to Tuner::adopt_batch, which skips the
+/// fit when the tuner can show the suggestion is already fixed by the
+/// journal. The last one, and every one the tuner declines, is
+/// re-suggested and compared bit for bit, so a wrong method, seed, or
+/// dataset still fails the resume. An ask without configurations (an
+/// abandoned sync round) is re-suggested and only its size is checked:
+/// re-suggesting advances the tuner (RNG, pending tracking) exactly as the
+/// original suggest did, and the round's cancel events then abandon each
+/// member.
+std::vector<space::Configuration> replay_ask(Tuner& tuner,
+                                             const JournalEvent& ask,
+                                             bool last, const char* what,
+                                             std::size_t index) {
+  if (!last && !ask.configs.empty() &&
+      tuner.adopt_batch(ask.requested, ask.configs)) {
+    return ask.configs;
   }
-  const std::vector<space::Configuration> batch =
-      tuner.suggest_batch(requested);
-  HPB_REQUIRE(batch.size() == journaled.size(),
+  std::vector<space::Configuration> batch = tuner.suggest_batch(ask.requested);
+  const std::size_t journaled =
+      ask.configs.empty() ? ask.actual : ask.configs.size();
+  HPB_REQUIRE(batch.size() == journaled,
               std::string(what) + " " + std::to_string(index) +
                   " diverged — tuner proposed " +
                   std::to_string(batch.size()) +
                   " configurations, journal recorded " +
-                  std::to_string(journaled.size()) +
+                  std::to_string(journaled) +
                   " (wrong method, seed, or dataset?)");
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    HPB_REQUIRE(batch[i].values() == journaled[i].values(),
+  for (std::size_t i = 0; i < ask.configs.size(); ++i) {
+    HPB_REQUIRE(batch[i].values() == ask.configs[i].values(),
                 std::string(what) + " " + std::to_string(index) +
                     " configuration " + std::to_string(i) +
                     " diverged — the tuner did not re-propose the journaled "
                     "configuration (wrong method, seed, or dataset?)");
   }
+  return batch;
 }
 
 }  // namespace
 
-std::vector<Observation> replay_journal(Tuner& tuner,
-                                        const space::ParameterSpace& space,
-                                        const JournalContents& contents) {
+ReplayResult replay_journal(Tuner& tuner, const space::ParameterSpace& space,
+                            const JournalContents& contents) {
   HPB_REQUIRE(contents.header.num_params == space.num_params(),
               "replay_journal: journal has " +
                   std::to_string(contents.header.num_params) +
                   " parameters but the space has " +
                   std::to_string(space.num_params()));
-  std::vector<Observation> replayed;
-  replayed.reserve(contents.num_observations());
-  // The last observed round is the one re-suggested in full: an abandoned
-  // round after it has no configurations to compare.
-  std::size_t last_observed = 0;
-  for (std::size_t r = 0; r < contents.rounds.size(); ++r) {
-    if (!contents.rounds[r].abandoned) {
-      last_observed = r;
+  ReplayResult result;
+  result.async = contents.header.async;
+  result.observations.reserve(contents.num_observations());
+  const char* what =
+      result.async ? "replay_journal: ask" : "replay_journal: round";
+  // The last ask with configurations is always re-suggested in full: an
+  // abandoned round after it has none to compare.
+  std::size_t last = 0;
+  for (std::size_t e = 0; e < contents.events.size(); ++e) {
+    if (!contents.events[e].configs.empty()) {
+      last = e;
     }
   }
-  std::vector<space::Configuration> journaled;
-  for (std::size_t r = 0; r < contents.rounds.size(); ++r) {
-    const JournalRound& round = contents.rounds[r];
-    if (round.abandoned) {
-      // The round was cancelled whole before any observation, and the
-      // journal holds no configurations for it: re-suggesting advances the
-      // tuner (RNG, pending tracking) exactly as the original suggest did;
-      // abandoning each member restores the cancelled state.
-      const std::vector<space::Configuration> batch =
-          tuner.suggest_batch(round.requested);
-      HPB_REQUIRE(batch.size() == round.actual,
-                  "replay_journal: abandoned round " + std::to_string(r) +
-                      " diverged — tuner proposed " +
-                      std::to_string(batch.size()) +
-                      " configurations, journal recorded " +
-                      std::to_string(round.actual) +
-                      " (wrong method, seed, or dataset?)");
-      for (const space::Configuration& c : batch) {
-        tuner.abandon(c);
-      }
-      continue;
-    }
-    journaled.clear();
-    for (const Observation& o : round.observations) {
-      journaled.push_back(o.config);
-    }
-    replay_batch(tuner, round.requested, journaled, r == last_observed,
-                 "replay_journal: round", r);
-    tuner.observe_batch(round.observations);
-    replayed.insert(replayed.end(), round.observations.begin(),
-                    round.observations.end());
-  }
-  return replayed;
-}
-
-AsyncReplayResult replay_journal_async(Tuner& tuner,
-                                       const space::ParameterSpace& space,
-                                       const JournalContents& contents) {
-  HPB_REQUIRE(contents.header.async,
-              "replay_journal_async: journal is not an async journal");
-  HPB_REQUIRE(contents.header.num_params == space.num_params(),
-              "replay_journal_async: journal has " +
-                  std::to_string(contents.header.num_params) +
-                  " parameters but the space has " +
-                  std::to_string(space.num_params()));
-  AsyncReplayResult result;
   // Ordered map: tokens are issued in increasing order, so iteration order
   // equals issue order — the resumed session re-exposes outstanding tokens
   // exactly as the original issued them.
   std::map<std::uint64_t, space::Configuration> outstanding;
-  std::size_t last_ask = 0;
+  std::vector<Observation> group;
   for (std::size_t e = 0; e < contents.events.size(); ++e) {
-    if (contents.events[e].kind == AsyncEvent::Kind::kAsk) {
-      last_ask = e;
-    }
-  }
-  for (std::size_t e = 0; e < contents.events.size(); ++e) {
-    const AsyncEvent& event = contents.events[e];
+    const JournalEvent& event = contents.events[e];
     switch (event.kind) {
-      case AsyncEvent::Kind::kAsk: {
-        replay_batch(tuner, event.requested, event.configs, e == last_ask,
-                     "replay_journal_async: ask event", e);
-        for (std::size_t i = 0; i < event.configs.size(); ++i) {
-          outstanding.emplace(event.first_token + i, event.configs[i]);
+      case JournalEvent::Kind::kAsk: {
+        std::vector<space::Configuration> batch =
+            replay_ask(tuner, event, e == last, what, result.asks);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          outstanding.emplace(event.first_token + i, std::move(batch[i]));
         }
-        result.next_token = event.first_token + event.configs.size();
+        result.next_token = event.first_token + event.actual;
         ++result.asks;
         break;
       }
-      case AsyncEvent::Kind::kObserve: {
-        outstanding.erase(event.token);
-        if (event.observation.status == tabular::EvalStatus::kOk) {
-          tuner.observe(event.observation.config, event.observation.y);
-        } else {
-          tuner.observe_failure(event.observation.config,
-                                event.observation.status);
+      case JournalEvent::Kind::kObserve: {
+        group.clear();
+        for (const AsyncResult& r : event.results) {
+          auto node = outstanding.extract(r.token);
+          HPB_REQUIRE(!node.empty(), "replay_journal: event " +
+                                         std::to_string(e) +
+                                         " observes an unknown token");
+          group.push_back({std::move(node.mapped()), r.y, r.status});
         }
-        result.observations.push_back(event.observation);
+        tuner.observe_batch(group);
+        std::move(group.begin(), group.end(),
+                  std::back_inserter(result.observations));
         break;
       }
-      case AsyncEvent::Kind::kCancel: {
+      case JournalEvent::Kind::kCancel: {
         const auto it = outstanding.find(event.token);
         HPB_REQUIRE(it != outstanding.end(),
-                    "replay_journal_async: cancel event " + std::to_string(e) +
-                        " references an unknown token");
+                    "replay_journal: event " + std::to_string(e) +
+                        " cancels an unknown token");
         tuner.abandon(it->second);
         outstanding.erase(it);
         break;
       }
     }
   }
-  result.outstanding.assign(outstanding.begin(), outstanding.end());
+  result.outstanding.assign(std::make_move_iterator(outstanding.begin()),
+                            std::make_move_iterator(outstanding.end()));
   return result;
 }
 

@@ -1,19 +1,25 @@
 // Write-ahead observation journal: crash-tolerant persistence for tuning
 // sessions.
 //
-// The TuningEngine appends one record per observation, each verb's records
-// in one write(2) and one fsync before the tuner sees them, so the on-disk
-// state is always a valid prefix of the run: kill -9 the process (or crash
-// the OS) at any byte and what survives is the header plus zero or more
-// complete rounds (a torn tail — a partial line or a half-written round —
-// is detected and dropped by the reader). Resume is replay-based: tuners are
-// deterministic given their suggest/observe call sequence, so driving a
-// fresh tuner through the journal's rounds — each journaled batch entered
-// as the suggest that produced it, observations answered from the journal
-// instead of re-evaluating the objective — reconstructs the exact
-// in-memory state (including RNG position and pending-batch tracking) the
-// session had when it died. The continued run is therefore bitwise
-// identical to an uninterrupted one.
+// A session journals each verb with one write(2) and, before the tuner
+// sees its records, one fsync, so the on-disk state is always a valid
+// prefix of the run: kill -9 the process (or crash the OS) at any byte and
+// what survives is the header plus zero or more complete verbs (a torn
+// tail — a partial line or a half-written round — is detected and dropped
+// by the reader). Resume is replay-based: tuners are deterministic given
+// their suggest/observe call sequence, so driving a fresh tuner through the
+// journal — each journaled batch entered as the suggest that produced it,
+// observations answered from the journal instead of re-evaluating the
+// objective — reconstructs the exact in-memory state (including RNG
+// position and pending-batch tracking) the session had when it died. The
+// continued run is therefore bitwise identical to an uninterrupted one.
+//
+// One event list, one replay. The two session modes keep their two body
+// formats below, but read_journal turns either into one verb-ordered list
+// of ask / observe / cancel events, with tokens numbered from 1 across
+// asks. A sync round is an ask behind a barrier: its ask, then one observe
+// of the whole round or a cancel of each of its tokens. replay_journal
+// walks that list for both modes.
 //
 // A batch is entered the cheap way when the tuner allows it: a tuner whose
 // suggestion was fixed by state the journal already holds adopts the
@@ -43,7 +49,8 @@
 // fsync of its records makes it durable with them. A round marker may
 // instead be followed by a single `abandon` line: the round was cancelled
 // whole (client died mid-round), replay re-suggests it and abandons every
-// member, and the session keeps going instead of wedging.
+// member, and the session keeps going instead of wedging. The reader
+// numbers a round's members with the next tokens, as the session does.
 //
 // Asynchronous sessions (`meta mode async` in the header) journal a
 // different, event-oriented body — self-contained lines, one write and one
@@ -104,56 +111,64 @@ struct JournalHeader {
   bool async = false;
 };
 
-/// One engine round as journaled: the batch size the engine requested and
-/// the observations (in suggestion order) the tuner's batch produced.
-struct JournalRound {
-  std::size_t requested = 0;
-  /// Batch size the tuner actually returned (== observations.size() for
-  /// observed rounds; abandoned rounds have no observations).
-  std::size_t actual = 0;
-  /// The round was cancelled whole (journaled `abandon` marker): replay
-  /// re-suggests it to advance the tuner deterministically, then abandons
-  /// every member instead of observing.
-  bool abandoned = false;
-  std::vector<Observation> observations;
+/// One evaluation result, identified by the token its suggestion was
+/// issued under: the unit of an async observe, and how the journal names
+/// each member of a sync round.
+struct AsyncResult {
+  std::uint64_t token = 0;
+  tabular::EvalStatus status = tabular::EvalStatus::kOk;
+  double y = 0.0;
+
+  [[nodiscard]] bool ok() const noexcept {
+    return status == tabular::EvalStatus::kOk;
+  }
 };
 
-/// One journaled verb of an asynchronous session, in journal (= verb)
-/// order.
-struct AsyncEvent {
+/// One journaled verb, in journal (= verb) order. Both bodies read into
+/// this shape: an async line is one event, and a sync round is an ask
+/// followed by one observe event for the whole round, or, when the round
+/// was abandoned, by one cancel event per token. Tokens count from 1 across
+/// asks in both modes.
+struct JournalEvent {
   enum class Kind { kAsk, kObserve, kCancel };
   Kind kind = Kind::kAsk;
-  /// kAsk: the requested batch size and the tokens/configurations issued.
+  /// kAsk: the batch size requested and returned, the first of the
+  /// `actual` consecutive tokens issued, and one configuration per token —
+  /// none for an abandoned sync round, whose configurations were never
+  /// journaled. Each journaled configuration lives here only.
   std::size_t requested = 0;
+  std::size_t actual = 0;
   std::uint64_t first_token = 0;
   std::vector<space::Configuration> configs;
-  /// kObserve / kCancel: the token resolved by this event. For kObserve,
-  /// `observation` carries the token's configuration (resolved by the
-  /// reader from the issuing ask) and the journaled value/status.
+  /// kObserve: the results in delivery order (a sync round's in suggestion
+  /// order); replay resolves each token through the ask that issued it.
+  std::vector<AsyncResult> results;
+  /// kCancel: the token cancelled.
   std::uint64_t token = 0;
-  Observation observation;
 };
 
-/// A validated journal: header, every complete round, and whether the
+/// A validated journal: header, every complete verb, and whether the
 /// session finished. `valid_bytes` is the length of the durable prefix
 /// (excluding any torn tail and the end marker); appending resumes there.
 struct JournalContents {
   JournalHeader header;
-  std::vector<JournalRound> rounds;
-  /// Asynchronous journals only: the validated verb sequence. Sync
-  /// journals leave this empty (and vice versa).
-  std::vector<AsyncEvent> events;
+  std::vector<JournalEvent> events;
   bool finalized = false;
   std::string finish_reason;
   std::uint64_t valid_bytes = 0;
 
   [[nodiscard]] std::size_t num_observations() const noexcept {
     std::size_t n = 0;
-    for (const JournalRound& r : rounds) {
-      n += r.observations.size();
+    for (const JournalEvent& e : events) {
+      n += e.results.size();
     }
-    for (const AsyncEvent& e : events) {
-      n += e.kind == AsyncEvent::Kind::kObserve ? 1 : 0;
+    return n;
+  }
+  /// Ask events: a sync journal's rounds, observed and abandoned.
+  [[nodiscard]] std::size_t num_asks() const noexcept {
+    std::size_t n = 0;
+    for (const JournalEvent& e : events) {
+      n += e.kind == JournalEvent::Kind::kAsk ? 1 : 0;
     }
     return n;
   }
@@ -240,42 +255,37 @@ class JournalWriter {
 /// unreadable or the header itself is invalid.
 [[nodiscard]] JournalContents read_journal(const std::string& path);
 
-/// Deterministic resume: drive a fresh tuner through the journal's rounds
-/// without touching the objective. Each observed round's batch is adopted
-/// (Tuner::adopt_batch) or re-suggested and compared bit for bit; the last
-/// observed round is always re-suggested, and an abandoned round (the
-/// journal holds no configurations for it) is always re-suggested and then
-/// abandoned. Observations are answered from the journal. Throws if the
-/// tuner's suggestions diverge from the journaled configurations (wrong
-/// method, seed, or dataset). Returns all replayed observations in engine
-/// order, ready to hand to TuningEngine::run/run_until as the replayed
-/// prefix.
-[[nodiscard]] std::vector<Observation> replay_journal(
-    Tuner& tuner, const space::ParameterSpace& space,
-    const JournalContents& contents);
-
-/// What an asynchronous replay reconstructs: the journaled observations in
-/// completion order (for the session's best-so-far / stopping bookkeeping)
-/// plus the still-outstanding tokens — asks whose completion or
-/// cancellation never hit the journal. A resumed session re-exposes those
-/// tokens, so a client (or an operator issuing `cancel`) can always resolve
-/// them; a torn round never wedges the session.
-struct AsyncReplayResult {
+/// What a replay reconstructs: the journaled observations in journal
+/// order (for the session's best-so-far and stopping bookkeeping), the
+/// still-outstanding tokens in issue order — asks whose completion or
+/// cancellation never hit the journal, always none in a sync journal,
+/// whose reader drops an incomplete round — the next unissued token, and
+/// the asks replayed (the session's round counter). A resumed session
+/// re-exposes the outstanding tokens, so a client (or an operator issuing
+/// `cancel`) can always resolve them; a torn round never wedges it.
+struct ReplayResult {
+  /// Replayed from an async journal; Session::replay refuses the other
+  /// mode's result.
+  bool async = false;
   std::vector<Observation> observations;
   std::vector<std::pair<std::uint64_t, space::Configuration>> outstanding;
-  /// The next unissued token (one past the largest journaled token).
   std::uint64_t next_token = 1;
-  /// Ask events replayed (the session's round counter).
   std::size_t asks = 0;
 };
 
-/// Deterministic async resume: drive a fresh tuner through the journal's
-/// event sequence in the exact journaled order — per ask, the journaled
-/// batch adopted or re-suggested and compared bit for bit, as in
-/// replay_journal (the last ask is always re-suggested); per aobs,
-/// observe/observe_failure; per acancel, abandon.
-[[nodiscard]] AsyncReplayResult replay_journal_async(
-    Tuner& tuner, const space::ParameterSpace& space,
-    const JournalContents& contents);
+/// Deterministic resume: drive a fresh tuner through the journal's events
+/// in the exact journaled order without touching the objective. Each ask's
+/// batch is adopted (Tuner::adopt_batch) or re-suggested and compared bit
+/// for bit; the last ask with configurations is always re-suggested, and
+/// an ask without them (an abandoned sync round) is always re-suggested
+/// and its size checked. Each observe event is one observe_batch call — a
+/// sync round whole, an async token as a one-element group — answered
+/// from the journal; each cancel abandons its token's configuration.
+/// Throws if the tuner's suggestions diverge from the journal (wrong
+/// method, seed, or dataset). The result is ready for Session::replay, or
+/// for TuningEngine::run/run_until as the replayed prefix.
+[[nodiscard]] ReplayResult replay_journal(Tuner& tuner,
+                                          const space::ParameterSpace& space,
+                                          const JournalContents& contents);
 
 }  // namespace hpb::core

@@ -102,6 +102,20 @@ void Session::require_mode(SessionMode mode, const char* verb) const {
                          "verbs suggest_async/observe_async/cancel_async)"));
 }
 
+std::vector<space::Configuration> Session::draw(std::size_t k) {
+  std::vector<space::Configuration> batch = tuner_->suggest_batch(k);
+  HPB_REQUIRE(!batch.empty(), "Session: tuner returned an empty batch");
+  HPB_REQUIRE(batch.size() <= k,
+              "Session: tuner returned more configurations than asked");
+  return batch;
+}
+
+void Session::issue(std::span<const space::Configuration> batch) {
+  for (const space::Configuration& c : batch) {
+    outstanding_.emplace(next_token_++, c);
+  }
+}
+
 void Session::reserve(std::size_t n) {
   result_.history.reserve(n);
   result_.best_so_far.reserve(n);
@@ -111,9 +125,11 @@ std::vector<space::Configuration> Session::suggest(std::size_t k) {
   require_open("suggest");
   require_mode(SessionMode::kSync, "suggest");
   HPB_REQUIRE(k > 0, "Session::suggest: k must be positive");
-  HPB_REQUIRE(!round_in_flight_,
+  // The barrier: a sync ask waits until every token of the last one is
+  // observed or cancelled.
+  HPB_REQUIRE(outstanding_.empty(),
               "Session::suggest: a round of " +
-                  std::to_string(pending_.size()) +
+                  std::to_string(outstanding_.size()) +
                   " suggestions is already in flight; observe it first");
   const obs::Recorder& rec = config_.recorder;
   const bool tracing = rec.tracing();
@@ -127,10 +143,7 @@ std::vector<space::Configuration> Session::suggest(std::size_t k) {
     round_start_ = rec.now_ns();
   }
   const std::uint64_t suggest_start = tracing ? rec.now_ns() : 0;
-  std::vector<space::Configuration> batch = tuner_->suggest_batch(k);
-  HPB_REQUIRE(!batch.empty(), "Session: tuner returned an empty batch");
-  HPB_REQUIRE(batch.size() <= k,
-              "Session: tuner returned more configurations than asked");
+  std::vector<space::Configuration> batch = draw(k);
   if (tracing) {
     const obs::TraceAttr attrs[] = {
         obs::TraceAttr::uint("requested", k),
@@ -151,9 +164,8 @@ std::vector<space::Configuration> Session::suggest(std::size_t k) {
     journal_op("begin_round",
                [&] { journal_->begin_round(k, batch.size()); });
   }
-  pending_ = batch;
+  issue(batch);
   round_requested_ = k;
-  round_in_flight_ = true;
   return batch;
 }
 
@@ -161,18 +173,20 @@ void Session::observe(std::vector<Observation> observations,
                       std::span<const EvalMeter> meters) {
   require_open("observe");
   require_mode(SessionMode::kSync, "observe");
-  HPB_REQUIRE(round_in_flight_,
+  HPB_REQUIRE(!outstanding_.empty(),
               "Session::observe: no round is in flight; call suggest first");
-  HPB_REQUIRE(observations.size() == pending_.size(),
+  HPB_REQUIRE(observations.size() == outstanding_.size(),
               "Session::observe: the in-flight round has " +
-                  std::to_string(pending_.size()) + " suggestions but " +
+                  std::to_string(outstanding_.size()) + " suggestions but " +
                   std::to_string(observations.size()) +
                   " results were delivered");
   HPB_REQUIRE(meters.empty() || meters.size() == observations.size(),
               "Session::observe: meters must be absent or one per result");
-  for (std::size_t i = 0; i < observations.size(); ++i) {
+  // One result per outstanding token, in issue (= suggestion) order.
+  auto pending = outstanding_.begin();
+  for (std::size_t i = 0; i < observations.size(); ++i, ++pending) {
     HPB_REQUIRE(
-        observations[i].config.values() == pending_[i].values(),
+        observations[i].config.values() == pending->second.values(),
         "Session::observe: result " + std::to_string(i) +
             " does not match the suggested configuration (results must be "
             "delivered in suggestion order; was this configuration ever "
@@ -288,24 +302,23 @@ void Session::observe(std::vector<Observation> observations,
   for (Observation& o : observations) {
     apply(std::move(o));
   }
-  round_in_flight_ = false;
-  pending_.clear();
+  outstanding_.clear();
   ++round_index_;
 }
 
 std::size_t Session::cancel_round() {
   require_open("cancel");
   require_mode(SessionMode::kSync, "cancel");
-  HPB_REQUIRE(round_in_flight_,
+  HPB_REQUIRE(!outstanding_.empty(),
               "Session::cancel: no round is in flight; nothing to cancel");
   // Marker first: once the abandon line is durable, a crash between here
   // and the tuner updates replays to the same released state.
   if (journal_ != nullptr) {
     journal_op("abandon_round", [&] { journal_->abandon_round(); });
   }
-  const std::size_t released = pending_.size();
-  for (const space::Configuration& c : pending_) {
-    tuner_->abandon(c);
+  const std::size_t released = outstanding_.size();
+  for (const auto& [token, config] : outstanding_) {
+    tuner_->abandon(config);
   }
   const obs::Recorder& rec = config_.recorder;
   if (rec.tracing()) {
@@ -322,8 +335,7 @@ std::size_t Session::cancel_round() {
   if (rec.metrics != nullptr) {
     counter(meters_.cancelled_rounds, "engine.cancelled_rounds").add(1);
   }
-  round_in_flight_ = false;
-  pending_.clear();
+  outstanding_.clear();
   ++round_index_;
   return released;
 }
@@ -347,10 +359,7 @@ std::vector<AsyncSuggestion> Session::suggest_async(std::size_t k) {
   const obs::Recorder& rec = config_.recorder;
   const bool tracing = rec.tracing();
   const std::uint64_t start = tracing ? rec.now_ns() : 0;
-  std::vector<space::Configuration> batch = tuner_->suggest_batch(k);
-  HPB_REQUIRE(!batch.empty(), "Session: tuner returned an empty batch");
-  HPB_REQUIRE(batch.size() <= k,
-              "Session: tuner returned more configurations than asked");
+  std::vector<space::Configuration> batch = draw(k);
   // Write-ahead: the ask line (tokens + configurations) is durable before
   // any token escapes to a client, so the journal's outstanding set always
   // covers every token a client could hold.
@@ -358,12 +367,12 @@ std::vector<AsyncSuggestion> Session::suggest_async(std::size_t k) {
     journal_op("begin_ask",
                [&] { journal_->begin_ask(k, next_token_, batch); });
   }
+  const std::uint64_t first_token = next_token_;
+  issue(batch);
   std::vector<AsyncSuggestion> suggestions;
   suggestions.reserve(batch.size());
   for (space::Configuration& c : batch) {
-    outstanding_.emplace(next_token_, c);
-    suggestions.push_back({next_token_, std::move(c)});
-    ++next_token_;
+    suggestions.push_back({first_token + suggestions.size(), std::move(c)});
   }
   if (tracing) {
     const obs::TraceAttr attrs[] = {
@@ -437,12 +446,10 @@ void Session::observe_async(std::span<const AsyncResult> results) {
     const AsyncResult& r = results[i];
     Observation& o = delivered[i];
     const std::uint64_t start = tracing ? rec.now_ns() : 0;
-    if (o.ok()) {
-      tuner_->observe(o.config, o.y);
-    } else {
-      ++failed;
-      tuner_->observe_failure(o.config, o.status);
-    }
+    // One tuner call per token, as replay makes for each journaled aobs
+    // line: a one-element batch, routed by status.
+    tuner_->observe_batch(std::span(&o, 1));
+    failed += o.ok() ? 0 : 1;
     if (tracing) {
       const obs::TraceAttr attrs[] = {
           obs::TraceAttr::uint("token", r.token),
@@ -510,29 +517,21 @@ std::size_t Session::cancel_async(std::span<const std::uint64_t> tokens) {
   return to_cancel.size();
 }
 
-void Session::replay(std::span<const Observation> replayed,
-                     std::size_t rounds) {
+void Session::replay(const ReplayResult& replayed) {
   require_open("replay");
-  HPB_REQUIRE(!round_in_flight_,
-              "Session::replay: a round is in flight; replay only precedes "
-              "fresh rounds");
-  for (const Observation& o : replayed) {
-    apply(o);
-  }
-  round_index_ += rounds;
-}
-
-void Session::replay_async(const AsyncReplayResult& replayed) {
-  require_open("replay");
-  require_mode(SessionMode::kAsync, "replay_async");
+  HPB_REQUIRE(replayed.async == (config_.mode == SessionMode::kAsync),
+              std::string("Session::replay: the journal was written by ") +
+                  (replayed.async ? "an asynchronous" : "a synchronous") +
+                  " session; a " +
+                  (replayed.async ? "synchronous" : "asynchronous") +
+                  " session cannot resume it");
   HPB_REQUIRE(outstanding_.empty() && next_token_ == 1,
-              "Session::replay_async: replay only precedes fresh asks");
+              "Session::replay: replay only precedes fresh asks");
   for (const Observation& o : replayed.observations) {
     apply(o);
   }
-  for (const auto& [token, config] : replayed.outstanding) {
-    outstanding_.emplace(token, config);
-  }
+  outstanding_.insert(replayed.outstanding.begin(),
+                      replayed.outstanding.end());
   next_token_ = replayed.next_token;
   round_index_ += replayed.asks;
 }
@@ -586,15 +585,13 @@ SessionStatus Session::status() const {
   s.evaluations = result_.history.size();
   s.num_failed = result_.num_failed;
   s.rounds = round_index_;
+  s.pending = outstanding_.size();
   if (config_.mode == SessionMode::kAsync) {
     s.async = true;
-    s.pending = outstanding_.size();
     s.pending_tokens.reserve(outstanding_.size());
     for (const auto& [token, config] : outstanding_) {
       s.pending_tokens.push_back(token);
     }
-  } else {
-    s.pending = round_in_flight_ ? pending_.size() : 0;
   }
   s.best_value = result_.best_value;
   s.best_config = result_.best_config.values();
@@ -614,7 +611,7 @@ SessionCheckpoint Session::checkpoint() const {
   }
   c.rounds = round_index_;
   c.observations = result_.history.size();
-  c.round_in_flight = round_in_flight_;
+  c.round_in_flight = round_in_flight();
   return c;
 }
 
@@ -633,8 +630,9 @@ void Session::finish(StopReason reason) {
 
 void Session::close() {
   require_open("close");
-  HPB_REQUIRE(!round_in_flight_,
-              "Session::close: a round of " + std::to_string(pending_.size()) +
+  HPB_REQUIRE(!round_in_flight(),
+              "Session::close: a round of " +
+                  std::to_string(outstanding_.size()) +
                   " suggestions is in flight; observe it (or cancel it) "
                   "before closing");
   HPB_REQUIRE(outstanding_.empty(),

@@ -1,13 +1,13 @@
 // Session: the reentrant per-run core of the tuning loop.
 //
 // A Session owns everything one tuning run carries between rounds — the
-// tuner, the write-ahead journal, the observability recorder, the pending
-// (suggested-but-unobserved) round, the stopping bookkeeping, and the
-// best-so-far trajectory — behind explicit suggest / observe / status /
-// checkpoint entry points. TuningEngine::run drives a single Session to
-// completion (evaluating the objective itself); SessionManager hosts
-// thousands of named Sessions whose clients evaluate remotely and come and
-// go between verbs.
+// tuner, the write-ahead journal, the observability recorder, the
+// outstanding (suggested-but-unresolved) suggestions, the stopping
+// bookkeeping, and the best-so-far trajectory — behind explicit suggest /
+// observe / status / checkpoint entry points. TuningEngine::run drives a
+// single Session to completion (evaluating the objective itself);
+// SessionManager hosts thousands of named Sessions whose clients evaluate
+// remotely and come and go between verbs.
 //
 // The split is exact: Session::suggest performs everything run_round did up
 // to (and including) the journal round marker, Session::observe performs
@@ -15,21 +15,26 @@
 // ids, clock reads, journal bytes, and metrics all match the pre-split
 // driver bit for bit (pinned by tests/test_session.cpp).
 //
-// One round may be in flight at a time: suggest() with an unobserved round
-// throws, observe() validates that the delivered results match the pending
-// suggestions in order (an out-of-order observe is a client error, not a
-// crash). Failure handling, stopping bookkeeping, and journal finalization
-// semantics are unchanged from the engine they were extracted from. A stuck
-// round (client died mid-evaluation) is released with cancel_round(), which
-// journals an abandon marker so resume replays it as a cancelled round.
+// One state machine serves both modes: every suggestion is issued a token
+// (dense from 1) and stays in one ordered token map until it is observed or
+// cancelled. Asynchronous sessions (SessionMode::kAsync) use it directly:
+// suggest_async() issues tokens and never waits, results come back one
+// token at a time in any order via observe_async(), and cancel_async()
+// abandons tokens that will never resolve. Every async verb is journaled
+// write-ahead (the ask line is durable before its tokens are returned), so
+// an async session is always evictable and a resumed one re-exposes
+// exactly the outstanding tokens a client could hold.
 //
-// Asynchronous sessions (SessionMode::kAsync) drop the round structure:
-// suggest_async() issues per-suggestion tokens and never waits, results
-// come back one token at a time in any order via observe_async(), and
-// cancel_async() abandons tokens that will never resolve. Every verb is
-// journaled write-ahead (the ask line is durable before its tokens are
-// returned), so an async session is always evictable and a resumed one
-// re-exposes exactly the outstanding tokens a client could hold.
+// A synchronous round is an ask behind a barrier: suggest() requires the
+// map to be empty (one round in flight at a time), observe() resolves every
+// outstanding token in issue order and validates that the delivered
+// results match them (an out-of-order observe is a client error, not a
+// crash), and cancel_round() releases a stuck round (client died
+// mid-evaluation) whole, journaling an abandon marker so resume replays it
+// as a cancelled round. Failure handling, stopping bookkeeping, and journal
+// finalization semantics are unchanged from the engine they were extracted
+// from. Resume is one path for both: Session::replay applies what
+// replay_journal reconstructed from either journal body.
 #pragma once
 
 #include <atomic>
@@ -43,7 +48,6 @@
 #include <vector>
 
 #include "core/journal.hpp"
-#include "core/loop.hpp"
 #include "core/stopping.hpp"
 #include "core/tuner.hpp"
 #include "obs/recorder.hpp"
@@ -82,18 +86,6 @@ enum class SessionMode {
 struct AsyncSuggestion {
   std::uint64_t token = 0;
   space::Configuration config;
-};
-
-/// One completed evaluation of an asynchronous session, identified by
-/// token (the session resolves the configuration itself).
-struct AsyncResult {
-  std::uint64_t token = 0;
-  tabular::EvalStatus status = tabular::EvalStatus::kOk;
-  double y = 0.0;
-
-  [[nodiscard]] bool ok() const noexcept {
-    return status == tabular::EvalStatus::kOk;
-  }
 };
 
 /// Everything a Session carries besides the tuner and the journal. The
@@ -237,19 +229,14 @@ class Session {
   /// that lost track). Returns the number of tokens cancelled.
   std::size_t cancel_async(std::span<const std::uint64_t> tokens);
 
-  /// Apply already-journaled observations (from replay_journal, which
-  /// drove them through the tuner) to the result and stopping bookkeeping.
-  /// `rounds` is the number of journaled rounds, observed and abandoned,
-  /// the replay covered: the round counter (status().rounds and the round
-  /// span's index) continues from it, as in the session that wrote the
-  /// journal. Only valid before the first suggest of a fresh session.
-  void replay(std::span<const Observation> replayed, std::size_t rounds = 0);
-
-  /// Async counterpart of replay(): apply the journaled observations and
-  /// restore the outstanding-token set, the token counter and the round
-  /// (ask) counter from an AsyncReplayResult. Only valid before the first
-  /// ask of a fresh async session.
-  void replay_async(const AsyncReplayResult& replayed);
+  /// Apply what replay_journal reconstructed (it already drove the
+  /// tuner): the journaled observations go through the result and
+  /// stopping bookkeeping, the outstanding tokens and the token counter
+  /// are restored, and the round counter (status().rounds and the round
+  /// span's index) continues from the journal's asks, as in the session
+  /// that wrote it. Refuses a result replayed from the other mode's
+  /// journal. Only valid before the first ask of a fresh session.
+  void replay(const ReplayResult& replayed);
 
   [[nodiscard]] SessionStatus status() const;
 
@@ -274,8 +261,9 @@ class Session {
   [[nodiscard]] std::size_t evaluations() const noexcept {
     return result_.history.size();
   }
+  /// A sync round is in flight: its tokens are outstanding.
   [[nodiscard]] bool round_in_flight() const noexcept {
-    return round_in_flight_;
+    return config_.mode == SessionMode::kSync && !outstanding_.empty();
   }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
   [[nodiscard]] StopReason stop_reason() const noexcept { return reason_; }
@@ -298,6 +286,11 @@ class Session {
 
   void require_open(const char* verb) const;
   void require_mode(SessionMode mode, const char* verb) const;
+
+  /// Ask the tuner for up to `k` configurations (never none, never more).
+  [[nodiscard]] std::vector<space::Configuration> draw(std::size_t k);
+  /// Issue the next tokens to `batch`, in order, as outstanding.
+  void issue(std::span<const space::Configuration> batch);
 
   /// Run one journal mutation; an IoError marks the session degraded and
   /// rethrows as a structured hpb::Error naming the read-only contract.
@@ -343,18 +336,19 @@ class Session {
   std::atomic<bool> degraded_{false};
   std::string degraded_reason_;
 
-  // In-flight round state (sync mode).
-  bool round_in_flight_ = false;
-  std::vector<space::Configuration> pending_;
-  std::size_t round_requested_ = 0;
-  std::size_t round_index_ = 0;
-  std::uint64_t round_id_ = 0;
-  std::uint64_t round_start_ = 0;
-
-  // Outstanding tokens (async mode), ordered by issue. The ordered map
-  // keeps status().pending_tokens deterministic.
+  // Outstanding tokens in both modes, ordered by issue (so a sync round's
+  // members stay in suggestion order, and status().pending_tokens is
+  // deterministic). A sync round is an ask that requires this map empty.
   std::map<std::uint64_t, space::Configuration> outstanding_;
   std::uint64_t next_token_ = 1;
+
+  // The sync round in flight: its requested size, and its trace span.
+  std::size_t round_requested_ = 0;
+  std::uint64_t round_id_ = 0;
+  std::uint64_t round_start_ = 0;
+  // The round counter (status().rounds): sync rounds observed or
+  // cancelled, async asks.
+  std::size_t round_index_ = 0;
 };
 
 }  // namespace hpb::core

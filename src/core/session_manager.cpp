@@ -208,10 +208,13 @@ std::string SessionManager::journal_path(const std::string& name) const {
 
 std::shared_ptr<SessionManager::Entry> SessionManager::make_entry(
     const SessionSpec& spec, SessionBackend backend,
-    std::unique_ptr<JournalWriter> journal) {
+    std::unique_ptr<JournalWriter> journal,
+    std::unique_ptr<obs::MetricsRegistry> metrics) {
   auto entry = std::make_shared<Entry>();
   entry->spec = spec;
-  entry->metrics = std::make_unique<obs::MetricsRegistry>();
+  entry->metrics = metrics != nullptr
+                       ? std::move(metrics)
+                       : std::make_unique<obs::MetricsRegistry>();
   SessionConfig sc;
   sc.batch_size = spec.batch_size;
   sc.stop = spec.stop;
@@ -301,6 +304,7 @@ std::shared_ptr<SessionManager::Entry> SessionManager::resume_from_journal(
     // aside so the name recovers, keep the evidence, fail this one verb
     // with a structured story instead of crashing the daemon.
     const std::string quarantine = quarantine_journal(name, path);
+    stripe.parked.erase(name);
     throw Error("session '" + name + "' had a corrupt journal (" + e.what() +
                 "); it was quarantined to " + quarantine +
                 " and the session no longer exists");
@@ -314,23 +318,20 @@ std::shared_ptr<SessionManager::Entry> SessionManager::resume_from_journal(
               "SessionManager: factory returned an incomplete backend");
   // Deterministic tuners rebuild their exact state from their journaled
   // suggest/observe sequence; the resumed session's next suggestion is
-  // bitwise-identical to the one the evicted instance would have made.
-  std::shared_ptr<Entry> entry;
-  if (contents.header.async) {
-    AsyncReplayResult replayed =
-        replay_journal_async(*backend.tuner, *backend.space, contents);
-    auto journal =
-        std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
-    entry = make_entry(spec, std::move(backend), std::move(journal));
-    entry->session->replay_async(replayed);
-  } else {
-    std::vector<Observation> replayed =
-        replay_journal(*backend.tuner, *backend.space, contents);
-    auto journal =
-        std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
-    entry = make_entry(spec, std::move(backend), std::move(journal));
-    entry->session->replay(replayed, contents.rounds.size());
+  // bitwise-identical to the one the evicted instance would have made. The
+  // replay runs before the session installs its recorder on the tuner, so
+  // the parked registry does not count the replay's fits a second time.
+  const ReplayResult replayed =
+      replay_journal(*backend.tuner, *backend.space, contents);
+  auto journal =
+      std::make_unique<JournalWriter>(JournalWriter::append(path, contents));
+  std::unique_ptr<obs::MetricsRegistry> metrics;
+  if (auto parked = stripe.parked.extract(name)) {
+    metrics = std::move(parked.mapped());
   }
+  std::shared_ptr<Entry> entry = make_entry(
+      spec, std::move(backend), std::move(journal), std::move(metrics));
+  entry->session->replay(replayed);
   stripe.map.emplace(name, entry);
   ++resumed_;
   count("manager.resumed");
@@ -373,28 +374,40 @@ void SessionManager::evict_over_capacity(Stripe& stripe) {
     // in_use == 0 here happens-after any prior verb completed.
     auto victim = stripe.map.end();
     for (auto it = stripe.map.begin(); it != stripe.map.end(); ++it) {
-      Entry& e = *it->second;
-      // A degraded session is pinned hot: evicting it would let the next
-      // verb "resume" from its journal and mask the disk fault behind a
-      // half-replayed session. It stays resident, read-only, and visible
-      // in health until an operator restarts with a healthy disk.
-      if (e.in_use > 0 || !e.session->journaled() ||
-          e.session->round_in_flight() || e.session->degraded()) {
-        continue;
-      }
-      if (victim == stripe.map.end() || e.tick < victim->second->tick) {
+      if (evictable(*it->second) &&
+          (victim == stripe.map.end() ||
+           it->second->tick < victim->second->tick)) {
         victim = it;
       }
     }
     if (victim == stripe.map.end()) {
       return;  // everything is busy, journal-less, or mid-round: stay hot
     }
-    const std::string name = victim->first;
-    stripe.map.erase(victim);
-    ++evicted_;
-    count("manager.evicted");
-    emit_span("session.evict", name);
+    drop(stripe, victim);
   }
+}
+
+bool SessionManager::evictable(const Entry& e) {
+  // A sync round in flight pins a session: its suggestions would be
+  // orphaned (the journal holds only the round marker, which resume
+  // discards). Async tokens do not: their ask is durable. A degraded
+  // session is pinned hot too: evicting it would let the next verb
+  // "resume" from its journal and mask the disk fault behind a
+  // half-replayed session. It stays resident, read-only, and visible in
+  // health until an operator restarts with a healthy disk.
+  return e.in_use == 0 && e.session->journaled() &&
+         !e.session->round_in_flight() && !e.session->degraded();
+}
+
+void SessionManager::drop(Stripe& stripe, EntryMap::iterator it) {
+  const std::string name = it->first;
+  // The session's metrics outlive its eviction: the resume that rebuilds
+  // it continues them.
+  stripe.parked[name] = std::move(it->second->metrics);
+  stripe.map.erase(it);
+  ++evicted_;
+  count("manager.evicted");
+  emit_span("session.evict", name);
 }
 
 std::vector<space::Configuration> SessionManager::suggest(
@@ -483,15 +496,10 @@ bool SessionManager::evict(const std::string& name) {
   if (it == stripe.map.end()) {
     return false;
   }
-  Entry& e = *it->second;
-  if (e.in_use > 0 || !e.session->journaled() ||
-      e.session->round_in_flight() || e.session->degraded()) {
+  if (!evictable(*it->second)) {
     return false;
   }
-  stripe.map.erase(it);
-  ++evicted_;
-  count("manager.evicted");
-  emit_span("session.evict", name);
+  drop(stripe, it);
   return true;
 }
 

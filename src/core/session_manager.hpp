@@ -10,23 +10,29 @@
 // Cold eviction: when a stripe exceeds its share of `max_resident`, its
 // least-recently-used idle session is dropped from memory. Nothing is lost
 // — every hosted session is backed by the write-ahead journal (one write
-// and one fsync per verb, before the verb returns), so the on-disk state
-// already *is* the session.
+// per verb, and one fsync before the verb returns for every verb but a
+// sync suggest, whose round marker alone recovers nothing and is synced
+// with the round's records), so the on-disk state already *is* the
+// session.
 // The next verb that touches an evicted name transparently resumes it: the
 // factory rebuilds the tuner over the dataset's shared candidate pool,
-// replay_journal re-drives it through the journaled rounds
-// (bitwise-identical suggest sequence, proven by tests/test_session.cpp),
-// and the journal re-opens in append mode. The replay adopts each
-// journaled batch the tuner can vouch for without refitting and
-// re-suggests the rest, the last one always, so resuming a HiPerBOt
-// session costs one journal read and one fit. The resumed session's round
-// counter continues from the journal's. A session with an unobserved round
-// in flight is pinned hot — evicting it would orphan its suggestions.
+// replay_journal re-drives it through the journaled events, in one path
+// for both modes (bitwise-identical suggest sequence, proven by
+// tests/test_session.cpp), and the journal re-opens in append mode. The
+// replay adopts each journaled batch the tuner can vouch for without
+// refitting and re-suggests the rest, the last one always, so resuming a
+// HiPerBOt session costs one journal read and one fit. The resumed
+// session's round counter continues from the journal's. A sync session
+// with a round in flight is pinned hot — evicting it would orphan its
+// suggestions — while an async one with tokens outstanding is not: its
+// ask is durable.
 //
 // Observability: the manager emits `session.*` spans (create / resume /
 // evict / close) and `manager.*` counters into its own recorder, and gives
-// every resident session a private MetricsRegistry scope so one session's
-// engine.* metrics never mix with another's.
+// every session a private MetricsRegistry scope so one session's engine.*
+// metrics never mix with another's. The registry outlives evictions: it
+// is parked when the session is evicted, handed to the resumed entry, and
+// dropped at close, so a session's metrics cover its whole life.
 #pragma once
 
 #include <cstddef>
@@ -246,9 +252,13 @@ class SessionManager {
     std::size_t in_use = 0;  // guarded by the stripe mutex
     std::uint64_t tick = 0;  // LRU stamp, guarded by the stripe mutex
   };
+  using EntryMap = std::unordered_map<std::string, std::shared_ptr<Entry>>;
   struct Stripe {
     mutable std::mutex m;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> map;
+    EntryMap map;
+    /// Metrics of evicted sessions, until their resume takes them back.
+    std::unordered_map<std::string, std::unique_ptr<obs::MetricsRegistry>>
+        parked;
   };
   /// RAII in-use pin: releases the entry (and runs LRU eviction) on scope
   /// exit even when the verb throws.
@@ -268,15 +278,24 @@ class SessionManager {
   /// max_resident. Caller holds the stripe mutex.
   void evict_over_capacity(Stripe& stripe);
 
+  /// Idle, journaled, not degraded, and no sync round in flight. Caller
+  /// holds the stripe mutex.
+  [[nodiscard]] static bool evictable(const Entry& entry);
+
+  /// Evict `it`, parking its metrics. Caller holds the stripe mutex.
+  void drop(Stripe& stripe, EntryMap::iterator it);
+
   /// Rebuild an evicted session from its journal. Caller holds the stripe
   /// mutex and pins (in_use) the returned entry itself.
   [[nodiscard]] std::shared_ptr<Entry> resume_from_journal(
       Stripe& stripe, const std::string& name);
 
-  [[nodiscard]] std::shared_ptr<Entry> make_entry(const SessionSpec& spec,
-                                                  SessionBackend backend,
-                                                  std::unique_ptr<JournalWriter>
-                                                      journal);
+  /// A fresh entry metering into `metrics`, or into a new registry when
+  /// null.
+  [[nodiscard]] std::shared_ptr<Entry> make_entry(
+      const SessionSpec& spec, SessionBackend backend,
+      std::unique_ptr<JournalWriter> journal,
+      std::unique_ptr<obs::MetricsRegistry> metrics = nullptr);
 
   void emit_span(std::string_view name, const std::string& session_name);
   void count(const char* counter);

@@ -1,7 +1,5 @@
 #include "core/stopping.hpp"
 
-#include "core/engine.hpp"
-
 namespace hpb::core {
 
 const char* stop_reason_name(StopReason reason) noexcept {
@@ -18,12 +16,6 @@ const char* stop_reason_name(StopReason reason) noexcept {
       return "interrupted";
   }
   return "unknown";
-}
-
-StoppedTuneResult run_tuning_until(Tuner& tuner,
-                                   tabular::Objective& objective,
-                                   const StopConfig& config) {
-  return TuningEngine().run_until(tuner, objective, config);
 }
 
 }  // namespace hpb::core

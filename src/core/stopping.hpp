@@ -6,10 +6,30 @@
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
-#include "core/loop.hpp"
+#include "core/tuner.hpp"
 
 namespace hpb::core {
+
+/// The record of one tuning run.
+struct TuneResult {
+  /// All evaluated observations in evaluation order (the set H of eq. 11),
+  /// including failed evaluations (status != kOk, y == NaN) — they spent
+  /// budget and belong to the record.
+  std::vector<Observation> history;
+  /// best_so_far[t] = min objective value over the first t+1 evaluations
+  /// (the "Best Performing Configuration" metric, §IV-B1). Entries before
+  /// the first *successful* evaluation are +inf.
+  std::vector<double> best_so_far;
+  /// Best successful observation; best_value stays +inf (and best_config
+  /// empty) when every evaluation failed. A failed configuration is never
+  /// reported here.
+  space::Configuration best_config;
+  double best_value = std::numeric_limits<double>::infinity();
+  /// Number of failed evaluations in `history`.
+  std::size_t num_failed = 0;
+};
 
 struct StopConfig {
   /// Hard cap on evaluations (always enforced).
@@ -49,11 +69,5 @@ struct StoppedTuneResult {
   TuneResult result;
   StopReason reason = StopReason::kBudgetExhausted;
 };
-
-/// Run the tuning loop until a stopping condition fires. Compatibility
-/// shim over TuningEngine{{.batch_size = 1}}.run_until(...).
-[[nodiscard]] StoppedTuneResult run_tuning_until(Tuner& tuner,
-                                                 tabular::Objective& objective,
-                                                 const StopConfig& config);
 
 }  // namespace hpb::core

@@ -11,7 +11,6 @@
 
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
-#include "core/loop.hpp"
 #include "core/tuner.hpp"
 #include "stats/summary.hpp"
 #include "tabular/tabular_objective.hpp"

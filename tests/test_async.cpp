@@ -10,8 +10,8 @@
 //     list) everything outstanding; close refuses while tokens are
 //     outstanding; sync sessions un-wedge a stuck round with cancel_round
 //     and both paths journal the abandonment for replay;
-//   - cross-mode misuse: sync verbs on an async session (and vice versa)
-//     are clear errors;
+//   - cross-mode misuse: sync verbs on an async session (and vice versa),
+//     and a replay of the other mode's journal, are clear errors;
 //   - randomized fuzz: interleaved issue/complete/cancel with injected
 //     duplicate and foreign tokens keeps the session consistent with a
 //     shadow model (run under ASan/TSan by tools/check.sh);
@@ -346,6 +346,21 @@ TEST(CrossMode, AsyncVerbsOnSyncSessionThrow) {
   EXPECT_THROW((void)session.suggest_async(1), hpb::Error);
   EXPECT_THROW(session.observe_async({}), hpb::Error);
   EXPECT_THROW((void)session.cancel_async({}), hpb::Error);
+}
+
+TEST(CrossMode, ReplayRefusesTheOtherModesJournal) {
+  auto ds = testutil::separable_dataset();
+  auto tuner = eval::make_named_tuner("random", ds, kSeed);
+  Session sync(*tuner, {.batch_size = 2, .stop = {.max_evaluations = 8}});
+  core::ReplayResult from_async;
+  from_async.async = true;
+  EXPECT_THROW(sync.replay(from_async), hpb::Error);
+  std::unique_ptr<core::Tuner> keep;
+  Session async = make_async_session(keep);
+  EXPECT_THROW(async.replay(core::ReplayResult{}), hpb::Error);
+  // Neither refusal touched the session.
+  EXPECT_EQ(sync.suggest(2).size(), 2u);
+  EXPECT_EQ(async.suggest_async(1).size(), 1u);
 }
 
 // ---------------------------------------------------------------- fuzzing

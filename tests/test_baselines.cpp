@@ -7,7 +7,7 @@
 #include "baselines/gp_tuner.hpp"
 #include "baselines/random_search.hpp"
 #include "common/error.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "test_util.hpp"
 
 namespace hpb::baselines {
@@ -73,7 +73,7 @@ TEST(Geist, NoDuplicateSuggestions) {
 TEST(Geist, ConvergesOnSmoothObjective) {
   auto ds = testutil::separable_dataset();
   Geist tuner(ds.space_ptr(), small_geist(), 4);
-  const core::TuneResult r = core::run_tuning(tuner, ds, 30);
+  const core::TuneResult r = core::TuningEngine().run(tuner, ds, 30);
   EXPECT_LE(r.best_value, 2.0);
 }
 
@@ -82,9 +82,9 @@ TEST(Geist, BeatsRandomOnAverage) {
   double geist_total = 0.0, rnd_total = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
     Geist g(ds.space_ptr(), small_geist(), 10 + rep);
-    geist_total += core::run_tuning(g, ds, 24).best_value;
+    geist_total += core::TuningEngine().run(g, ds, 24).best_value;
     RandomSearch r(ds.space_ptr(), 50 + rep);
-    rnd_total += core::run_tuning(r, ds, 24).best_value;
+    rnd_total += core::TuningEngine().run(r, ds, 24).best_value;
   }
   EXPECT_LE(geist_total, rnd_total);
 }
@@ -94,7 +94,7 @@ TEST(Geist, BeliefsExposedAfterPropagation) {
   auto cfg = small_geist();
   Geist tuner(ds.space_ptr(), cfg, 5);
   EXPECT_TRUE(tuner.beliefs().empty());
-  (void)core::run_tuning(tuner, ds, cfg.initial_samples + 1);
+  (void)core::TuningEngine().run(tuner, ds, cfg.initial_samples + 1);
   ASSERT_EQ(tuner.beliefs().size(), ds.size());
   for (double b : tuner.beliefs()) {
     EXPECT_GE(b, 0.0);
@@ -204,7 +204,7 @@ TEST(GpTuner, NoDuplicateSuggestions) {
 TEST(GpTuner, FindsOptimumOnSmallSpace) {
   auto ds = testutil::separable_dataset();
   GpTuner tuner(ds.space_ptr(), small_gp(), 3);
-  const core::TuneResult r = core::run_tuning(tuner, ds, 30);
+  const core::TuneResult r = core::TuningEngine().run(tuner, ds, 30);
   EXPECT_LE(r.best_value, 2.0);
 }
 
@@ -213,7 +213,7 @@ TEST(GpTuner, HistoryCapKeepsIncumbent) {
   auto cfg = small_gp();
   cfg.max_history = 12;
   GpTuner tuner(ds.space_ptr(), cfg, 4);
-  const core::TuneResult r = core::run_tuning(tuner, ds, 40);
+  const core::TuneResult r = core::TuningEngine().run(tuner, ds, 40);
   // Still converges despite the cap.
   EXPECT_LE(r.best_value, 2.0);
 }

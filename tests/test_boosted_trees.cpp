@@ -6,7 +6,6 @@
 #include <cmath>
 #include <set>
 
-#include "core/loop.hpp"
 #include "test_util.hpp"
 
 namespace hpb::baselines {

@@ -3,7 +3,7 @@
 //     bitwise for every registered tuner (the paper's curves do not move);
 //   - batched runs are deterministic for a fixed seed and never evaluate a
 //     configuration twice;
-//   - run_until keeps the serial driver's stopping semantics;
+//   - run_until drains the whole round a stopping condition fires in;
 //   - HiPerBOt tracks outstanding batch members as pending (regression for
 //     the overlapping-batches footgun);
 //   - the HPB_REPS / HPB_BATCH environment knobs are parsed strictly.
@@ -18,7 +18,6 @@
 #include "core/engine.hpp"
 #include "core/hiperbot.hpp"
 #include "core/journal.hpp"
-#include "core/loop.hpp"
 #include "core/stopping.hpp"
 #include "eval/experiment.hpp"
 #include "eval/methods.hpp"
@@ -34,8 +33,8 @@ using core::TuningEngine;
 constexpr std::size_t kBudget = 40;
 constexpr std::uint64_t kSeed = 0xE7517E;
 
-/// Verbatim copy of the pre-engine serial driver (core/loop.cpp before it
-/// became a shim) — the reference the engine must reproduce at batch 1.
+/// Verbatim copy of the pre-engine serial driver (the run_tuning loop the
+/// engine replaced) — the reference the engine must reproduce at batch 1.
 TuneResult legacy_run_tuning(core::Tuner& tuner, tabular::Objective& objective,
                              std::size_t budget) {
   TuneResult result;
@@ -78,14 +77,6 @@ TEST(EngineSerialEquivalence, EveryTunerMatchesLegacyLoopAtBatchOne) {
     const TuneResult actual = engine.run(*engine_tuner, ds, kBudget);
     expect_identical(expected, actual);
   }
-}
-
-TEST(EngineSerialEquivalence, ShimsStillDriveTheSameHistory) {
-  auto ds = testutil::separable_dataset();
-  auto a = eval::make_named_tuner("hiperbot", ds, kSeed);
-  auto b = eval::make_named_tuner("hiperbot", ds, kSeed);
-  expect_identical(legacy_run_tuning(*a, ds, kBudget),
-                   core::run_tuning(*b, ds, kBudget));
 }
 
 TEST(EngineBatched, SameSeedSameHistoryAndNoDuplicates) {
@@ -131,20 +122,6 @@ TEST(EngineBatched, BudgetNotDivisibleByBatchStillExact) {
 
 TEST(EngineBatched, RejectsZeroBatch) {
   EXPECT_THROW(TuningEngine({.batch_size = 0}), Error);
-}
-
-TEST(EngineRunUntil, BatchOneMatchesLegacyStoppingSemantics) {
-  auto ds = testutil::separable_dataset();
-  core::StopConfig stop;
-  stop.max_evaluations = kBudget;
-  stop.stagnation_patience = 6;
-  const TuningEngine engine({.batch_size = 1});
-  auto a = eval::make_named_tuner("anneal", ds, kSeed);
-  auto b = eval::make_named_tuner("anneal", ds, kSeed);
-  const auto expected = core::run_tuning_until(*a, ds, stop);
-  const auto actual = engine.run_until(*b, ds, stop);
-  EXPECT_EQ(expected.reason, actual.reason);
-  expect_identical(expected.result, actual.result);
 }
 
 TEST(EngineRunUntil, TargetStopMidBatchDrainsWholeRound) {
@@ -256,7 +233,7 @@ TEST(EngineJournal, JournalingDoesNotPerturbAnyTunerBitwise) {
 
 TEST(EngineJournal, EveryTunerResumesBitwiseFromAMidRunJournal) {
   // Truncate each tuner's journal at a round boundary mid-run and resume:
-  // the replayed-prefix overload must land on the identical final result.
+  // a run given the replayed prefix must land on the identical final result.
   auto ds = testutil::separable_dataset();
   const TuningEngine engine({.batch_size = 4});
   for (const std::string& name : eval::tuner_names()) {
@@ -276,12 +253,14 @@ TEST(EngineJournal, EveryTunerResumesBitwiseFromAMidRunJournal) {
             .run(*full_tuner, ds, kBudget);
 
     core::JournalContents contents = core::read_journal(path);
-    ASSERT_GT(contents.rounds.size(), 2u);
-    contents.rounds.resize(contents.rounds.size() / 2);  // mid-run snapshot
+    ASSERT_GT(contents.num_asks(), 2u);
+    // Mid-run snapshot: the first half of the rounds, each read as an ask
+    // and the observe of the whole round.
+    contents.events.resize(contents.num_asks() / 2 * 2);
     auto resumed_tuner = eval::make_named_tuner(name, ds, kSeed);
-    const std::vector<Observation> replayed =
+    const core::ReplayResult replayed =
         core::replay_journal(*resumed_tuner, ds.space(), contents);
-    ASSERT_FALSE(replayed.empty());
+    ASSERT_FALSE(replayed.observations.empty());
     const TuneResult resumed =
         engine.run(*resumed_tuner, ds, kBudget, replayed);
     expect_identical(full, resumed);

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/engine.hpp"
 #include "core/hiperbot.hpp"
 #include "core/stopping.hpp"
 #include "space/sampling.hpp"
@@ -103,7 +104,7 @@ TEST(Stopping, BudgetExhaustion) {
   core::HiPerBOt tuner(ds.space_ptr(), config, 6);
   core::StopConfig stop;
   stop.max_evaluations = 15;
-  const auto out = core::run_tuning_until(tuner, ds, stop);
+  const auto out = core::TuningEngine().run_until(tuner, ds, stop);
   EXPECT_EQ(out.reason, core::StopReason::kBudgetExhausted);
   EXPECT_EQ(out.result.history.size(), 15u);
 }
@@ -116,7 +117,7 @@ TEST(Stopping, StagnationFiresAfterPatience) {
   core::StopConfig stop;
   stop.max_evaluations = 60;
   stop.stagnation_patience = 8;
-  const auto out = core::run_tuning_until(tuner, ds, stop);
+  const auto out = core::TuningEngine().run_until(tuner, ds, stop);
   EXPECT_EQ(out.reason, core::StopReason::kStagnation);
   EXPECT_LT(out.result.history.size(), 60u);
   // The last `patience` evaluations brought no improvement.
@@ -132,7 +133,7 @@ TEST(Stopping, TargetReachedStopsImmediately) {
   core::StopConfig stop;
   stop.max_evaluations = 60;
   stop.target_value = 1.0;  // the dataset optimum
-  const auto out = core::run_tuning_until(tuner, ds, stop);
+  const auto out = core::TuningEngine().run_until(tuner, ds, stop);
   EXPECT_EQ(out.reason, core::StopReason::kTargetReached);
   EXPECT_DOUBLE_EQ(out.result.best_value, 1.0);
   EXPECT_DOUBLE_EQ(out.result.history.back().y, 1.0);
@@ -143,7 +144,7 @@ TEST(Stopping, Validation) {
   core::HiPerBOt tuner(ds.space_ptr(), {}, 9);
   core::StopConfig stop;
   stop.max_evaluations = 0;
-  EXPECT_THROW((void)core::run_tuning_until(tuner, ds, stop), Error);
+  EXPECT_THROW((void)core::TuningEngine().run_until(tuner, ds, stop), Error);
 }
 
 // ---------------------------------------------------------------- adapters
@@ -155,7 +156,7 @@ TEST(Adapters, MaximizeNegatesAndTunersFindTheMaximum) {
   core::HiPerBOtConfig config;
   config.initial_samples = 8;
   core::HiPerBOt tuner(ds.space_ptr(), config, 10);
-  const auto result = core::run_tuning(tuner, maximize, 40);
+  const auto result = core::TuningEngine().run(tuner, maximize, 40);
   EXPECT_DOUBLE_EQ(-result.best_value, 18.0);
 }
 
@@ -163,7 +164,7 @@ TEST(Adapters, CountingCountsExactly) {
   auto ds = testutil::separable_dataset();
   tabular::CountingObjective counting(ds);
   core::HiPerBOt tuner(ds.space_ptr(), {}, 11);
-  (void)core::run_tuning(tuner, counting, 25);
+  (void)core::TuningEngine().run(tuner, counting, 25);
   EXPECT_EQ(counting.count(), 25u);
 }
 
@@ -188,7 +189,7 @@ TEST(Adapters, TunerStillWorksUnderNoise) {
   core::HiPerBOtConfig config;
   config.initial_samples = 8;
   core::HiPerBOt tuner(ds.space_ptr(), config, 13);
-  const auto result = core::run_tuning(tuner, noisy, 40);
+  const auto result = core::TuningEngine().run(tuner, noisy, 40);
   // The *true* value of the selected config is near-optimal even though
   // observations were noisy.
   EXPECT_LE(ds.value_of(result.best_config), 3.0);

@@ -10,7 +10,7 @@
 #include "baselines/config_graph.hpp"
 #include "core/density.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "space/parameter_space.hpp"
 #include "tabular/tabular_objective.hpp"
 
@@ -153,7 +153,7 @@ TEST_P(FuzzSpaces, DensitiesNormalizeAndTunerRuns) {
   config.initial_samples = 4;
   core::HiPerBOt tuner(ds.space_ptr(), config, GetParam());
   const std::size_t budget = std::min<std::size_t>(25, ds.size());
-  const auto result = core::run_tuning(tuner, ds, budget);
+  const auto result = core::TuningEngine().run(tuner, ds, budget);
   EXPECT_EQ(result.history.size(), budget);
 }
 

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "baselines/random_search.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "test_util.hpp"
 
 namespace hpb::core {
@@ -55,7 +55,7 @@ TEST(HiPerBOt, InitialPhaseIsRandomThenModelBased) {
 TEST(HiPerBOt, FindsSeparableOptimumQuickly) {
   auto ds = testutil::separable_dataset();
   HiPerBOt tuner(ds.space_ptr(), small_config(SelectionStrategy::kRanking), 3);
-  const TuneResult r = run_tuning(tuner, ds, 25);
+  const TuneResult r = TuningEngine().run(tuner, ds, 25);
   EXPECT_DOUBLE_EQ(r.best_value, 1.0);  // optimum found within 25/60 evals
 }
 
@@ -63,7 +63,7 @@ TEST(HiPerBOt, ProposalStrategyWorksOnFiniteSpace) {
   auto ds = testutil::separable_dataset();
   HiPerBOt tuner(ds.space_ptr(), small_config(SelectionStrategy::kProposal),
                  4);
-  const TuneResult r = run_tuning(tuner, ds, 40);
+  const TuneResult r = TuningEngine().run(tuner, ds, 40);
   EXPECT_LE(r.best_value, 2.0);
   // No duplicates even under Proposal (finite space tracks ordinals).
   std::set<std::uint64_t> seen;
@@ -135,9 +135,9 @@ TEST(HiPerBOt, BeatsRandomOnAverage) {
   for (int rep = 0; rep < kReps; ++rep) {
     HiPerBOt tuner(ds.space_ptr(), small_config(SelectionStrategy::kRanking),
                    100 + rep);
-    hpb_total += run_tuning(tuner, ds, kBudget).best_value;
+    hpb_total += TuningEngine().run(tuner, ds, kBudget).best_value;
     baselines::RandomSearch random(ds.space_ptr(), 200 + rep);
-    rnd_total += run_tuning(random, ds, kBudget).best_value;
+    rnd_total += TuningEngine().run(random, ds, kBudget).best_value;
   }
   EXPECT_LE(hpb_total, rnd_total);
 }
@@ -160,10 +160,10 @@ TEST(HiPerBOt, TransferPriorAcceleratesColdStart) {
     HiPerBOt with(target.space_ptr(), cfg, 300 + rep);
     with.set_transfer_prior(make_transfer_prior(
         source.space_ptr(), source.configs(), source.values(), 0.2));
-    with_prior += run_tuning(with, target, 8).best_value;
+    with_prior += TuningEngine().run(with, target, 8).best_value;
 
     HiPerBOt without(target.space_ptr(), cfg, 300 + rep);
-    without_prior += run_tuning(without, target, 8).best_value;
+    without_prior += TuningEngine().run(without, target, 8).best_value;
   }
   EXPECT_LT(with_prior, without_prior);
 }
@@ -171,7 +171,7 @@ TEST(HiPerBOt, TransferPriorAcceleratesColdStart) {
 TEST(HiPerBOt, ParameterImportanceFromHistory) {
   auto ds = testutil::separable_dataset();
   HiPerBOt tuner(ds.space_ptr(), small_config(SelectionStrategy::kRanking), 7);
-  (void)run_tuning(tuner, ds, 40);
+  (void)TuningEngine().run(tuner, ds, 40);
   const auto importance = tuner.parameter_importance();
   ASSERT_EQ(importance.size(), 3u);
   for (double v : importance) {
@@ -182,7 +182,7 @@ TEST(HiPerBOt, ParameterImportanceFromHistory) {
 TEST(TuningLoop, TrajectoryIsMonotoneNonIncreasing) {
   auto ds = testutil::separable_dataset();
   HiPerBOt tuner(ds.space_ptr(), small_config(SelectionStrategy::kRanking), 8);
-  const TuneResult r = run_tuning(tuner, ds, 30);
+  const TuneResult r = TuningEngine().run(tuner, ds, 30);
   ASSERT_EQ(r.best_so_far.size(), 30u);
   ASSERT_EQ(r.history.size(), 30u);
   for (std::size_t t = 1; t < r.best_so_far.size(); ++t) {
@@ -195,7 +195,7 @@ TEST(TuningLoop, TrajectoryIsMonotoneNonIncreasing) {
 TEST(TuningLoop, ZeroBudgetThrows) {
   auto ds = testutil::separable_dataset();
   HiPerBOt tuner(ds.space_ptr(), small_config(SelectionStrategy::kRanking), 9);
-  EXPECT_THROW((void)run_tuning(tuner, ds, 0), Error);
+  EXPECT_THROW((void)TuningEngine().run(tuner, ds, 0), Error);
 }
 
 }  // namespace

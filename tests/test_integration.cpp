@@ -10,7 +10,7 @@
 #include "apps/transfer.hpp"
 #include "baselines/perfnet.hpp"
 #include "baselines/random_search.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "eval/experiment.hpp"
 #include "eval/methods.hpp"
 #include "eval/metrics.hpp"
@@ -64,12 +64,13 @@ TEST(Integration, TransferPriorBeatsColdStartOnKripke) {
     with.set_transfer_prior(core::make_transfer_prior(
         pair.source.space_ptr(), pair.source.configs(), pair.source.values(),
         config.quantile));
-    const auto r_with = core::run_tuning(with, pair.target, kBudget);
+    const auto r_with = core::TuningEngine().run(with, pair.target, kBudget);
     recall_with +=
         eval::recall_tolerance(pair.target, r_with.history, kBudget, 0.15);
 
     core::HiPerBOt without(pair.target.space_ptr(), config, seed, pool);
-    const auto r_without = core::run_tuning(without, pair.target, kBudget);
+    const auto r_without =
+        core::TuningEngine().run(without, pair.target, kBudget);
     recall_without += eval::recall_tolerance(pair.target, r_without.history,
                                              kBudget, 0.15);
   }
@@ -97,7 +98,7 @@ TEST(Integration, PerfNetIsCompetitiveButBeatenOnHypreTransfer) {
   tuner.set_transfer_prior(core::make_transfer_prior(
       pair.source.space_ptr(), pair.source.configs(), pair.source.values(),
       config.quantile));
-  const auto result = core::run_tuning(tuner, pair.target, budget);
+  const auto result = core::TuningEngine().run(tuner, pair.target, budget);
   const double hiperbot_recall =
       eval::recall_tolerance(pair.target, result.history, budget, 0.05);
   EXPECT_GE(hiperbot_recall, perfnet_recall);
@@ -112,12 +113,13 @@ TEST(Integration, ConclusionsStableAcrossSeeds) {
   constexpr std::size_t kBudget = 250;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     core::HiPerBOt hpb_tuner(dataset.space_ptr(), {}, seed, pool);
-    const auto hpb_result = core::run_tuning(hpb_tuner, dataset, kBudget);
+    const auto hpb_result =
+        core::TuningEngine().run(hpb_tuner, dataset, kBudget);
     const double hpb_recall =
         eval::recall_percentile(dataset, hpb_result.history, kBudget, 5.0);
 
     baselines::RandomSearch random(dataset.space_ptr(), seed + 100, pool);
-    const auto rnd_result = core::run_tuning(random, dataset, kBudget);
+    const auto rnd_result = core::TuningEngine().run(random, dataset, kBudget);
     const double rnd_recall =
         eval::recall_percentile(dataset, rnd_result.history, kBudget, 5.0);
 
@@ -132,7 +134,7 @@ TEST(Integration, TunerOverheadIsSmall) {
   auto dataset = apps::make_lulesh();
   const auto start = std::chrono::steady_clock::now();
   core::HiPerBOt tuner(dataset.space_ptr(), {}, 9);
-  (void)core::run_tuning(tuner, dataset, 150);
+  (void)core::TuningEngine().run(tuner, dataset, 150);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

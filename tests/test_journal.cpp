@@ -51,6 +51,7 @@ namespace hpb {
 namespace {
 
 using core::JournalContents;
+using core::JournalEvent;
 using core::JournalHeader;
 using core::JournalWriter;
 using core::Observation;
@@ -148,17 +149,19 @@ TEST(JournalRoundTrip, HeaderRoundsAndFinalizeSurviveReadBack) {
   EXPECT_EQ(contents.header.fail_rate, header.fail_rate);
   EXPECT_EQ(contents.header.crash_rate, header.crash_rate);
   EXPECT_EQ(contents.header.hang_rate, header.hang_rate);
-  ASSERT_EQ(contents.rounds.size(), 1u);
-  EXPECT_EQ(contents.rounds[0].requested, 3u);
-  ASSERT_EQ(contents.rounds[0].observations.size(), 2u);
-  EXPECT_EQ(contents.rounds[0].observations[0].config.values(),
-            ds.configs()[5].values());
-  EXPECT_EQ(contents.rounds[0].observations[0].y, 17.5);
-  EXPECT_EQ(contents.rounds[0].observations[0].status,
-            tabular::EvalStatus::kOk);
-  EXPECT_TRUE(std::isnan(contents.rounds[0].observations[1].y));
-  EXPECT_EQ(contents.rounds[0].observations[1].status,
-            tabular::EvalStatus::kInvalid);
+  // The round reads as its ask and one observe of the whole round.
+  ASSERT_EQ(contents.num_asks(), 1u);
+  ASSERT_EQ(contents.events.size(), 2u);
+  const JournalEvent& ask = contents.events[0];
+  const JournalEvent& observe = contents.events[1];
+  EXPECT_EQ(ask.requested, 3u);
+  ASSERT_EQ(ask.configs.size(), 2u);
+  ASSERT_EQ(observe.results.size(), 2u);
+  EXPECT_EQ(ask.configs[0].values(), ds.configs()[5].values());
+  EXPECT_EQ(observe.results[0].y, 17.5);
+  EXPECT_EQ(observe.results[0].status, tabular::EvalStatus::kOk);
+  EXPECT_TRUE(std::isnan(observe.results[1].y));
+  EXPECT_EQ(observe.results[1].status, tabular::EvalStatus::kInvalid);
   EXPECT_TRUE(contents.finalized);
   EXPECT_EQ(contents.finish_reason, "stagnation");
   // The end marker sits beyond the resumable prefix.
@@ -184,10 +187,11 @@ TEST(JournalRoundTrip, ExtremeDoubleBitsRoundTripExactly) {
   const JournalContents contents = core::read_journal(path);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(contents.header.target_value),
             std::bit_cast<std::uint64_t>(header.target_value));
-  ASSERT_EQ(contents.rounds.size(), values.size());
+  // Round i reads as ask 2i and observe 2i+1.
+  ASSERT_EQ(contents.num_asks(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(
-        std::bit_cast<std::uint64_t>(contents.rounds[i].observations[0].y),
+        std::bit_cast<std::uint64_t>(contents.events[2 * i + 1].results[0].y),
         std::bit_cast<std::uint64_t>(values[i]))
         << "value " << values[i] << " did not round-trip";
   }
@@ -259,7 +263,7 @@ core::StoppedTuneResult resume_from(tabular::TabularObjective& ds,
                                     const std::string& path) {
   const JournalContents contents = core::read_journal(path);
   auto tuner = eval::make_named_tuner(method, ds, kSeed);
-  const std::vector<Observation> replayed =
+  const core::ReplayResult replayed =
       core::replay_journal(*tuner, ds.space(), contents);
   tabular::FaultInjectingObjective faulty(
       ds, {.fail_rate = 0.15, .crash_rate = 0.05, .seed = kSeed});
@@ -524,7 +528,7 @@ TEST(GracefulShutdown, StopFlagInterruptsBetweenRoundsAndResumes) {
 
   // Resume completes the session bitwise-identically to the reference.
   auto resumed_tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
-  const std::vector<Observation> replayed =
+  const core::ReplayResult replayed =
       core::replay_journal(*resumed_tuner, ds.space(), contents);
   JournalWriter appender = JournalWriter::append(path, contents);
   const TuningEngine resumed_engine(
@@ -558,8 +562,8 @@ std::vector<std::size_t> traced_rounds(const std::string& path) {
 
 TEST(GracefulShutdown, ResumedRunContinuesTheRoundCounter) {
   // A round span's `round` attribute is the session's round counter, the
-  // value status().rounds reports. Resumed with the journal's round count
-  // (what `hiperbot tune --resume` passes), a run stopped after k rounds
+  // value status().rounds reports. Resumed from replay_journal's result,
+  // which carries the journal's round count, a run stopped after k rounds
   // numbers its next round k, and the stitched trace counts 0..n-1 like an
   // uninterrupted run's.
   auto ds = testutil::separable_dataset();
@@ -585,21 +589,19 @@ TEST(GracefulShutdown, ResumedRunContinuesTheRoundCounter) {
               StopReason::kInterrupted);
   }
   const JournalContents contents = core::read_journal(path);
-  ASSERT_EQ(contents.rounds.size(), 3u);
+  ASSERT_EQ(contents.num_asks(), 3u);
   EXPECT_EQ(traced_rounds(trace), (std::vector<std::size_t>{0, 1, 2}));
   {
     auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
-    const std::vector<Observation> replayed =
+    const core::ReplayResult replayed =
         core::replay_journal(*tuner, ds.space(), contents);
+    EXPECT_EQ(replayed.asks, 3u);
     JournalWriter writer = JournalWriter::append(path, contents);
     obs::JsonlTraceSink sink = obs::JsonlTraceSink::append_to(trace);
     const TuningEngine engine({.batch_size = kBatch,
                                .journal = &writer,
                                .recorder = {.trace = &sink}});
-    EXPECT_EQ(engine
-                  .run_until(*tuner, ds, stop, replayed,
-                             contents.rounds.size())
-                  .reason,
+    EXPECT_EQ(engine.run_until(*tuner, ds, stop, replayed).reason,
               StopReason::kBudgetExhausted);
   }
   std::vector<std::size_t> expected(kBudget / kBatch);
@@ -751,16 +753,20 @@ void expect_valid_salvage(const JournalContents& contents,
   EXPECT_GT(contents.header.num_params, 0u);
   EXPECT_GT(contents.header.batch_size, 0u);
   ASSERT_LE(contents.valid_bytes, mutated.size());
-  for (const core::JournalRound& round : contents.rounds) {
-    EXPECT_GT(round.observations.size(), 0u);
-    EXPECT_LE(round.observations.size(), round.requested);
-    for (const Observation& o : round.observations) {
-      EXPECT_EQ(o.config.size(), contents.header.num_params);
-      if (o.ok()) {
-        EXPECT_FALSE(std::isnan(o.y))
+  for (const JournalEvent& event : contents.events) {
+    if (event.kind == JournalEvent::Kind::kAsk) {
+      EXPECT_GT(event.actual, 0u);
+      EXPECT_LE(event.actual, event.requested);
+    }
+    for (const space::Configuration& c : event.configs) {
+      EXPECT_EQ(c.size(), contents.header.num_params);
+    }
+    for (const core::AsyncResult& r : event.results) {
+      if (r.ok()) {
+        EXPECT_FALSE(std::isnan(r.y))
             << "reader accepted an ok record with a NaN objective";
       } else {
-        EXPECT_NO_THROW((void)tabular::status_name(o.status));
+        EXPECT_NO_THROW((void)tabular::status_name(r.status));
       }
     }
   }
@@ -770,17 +776,21 @@ void expect_valid_salvage(const JournalContents& contents,
   const JournalContents again = core::read_journal(path);
   EXPECT_EQ(again.header.method, contents.header.method);
   EXPECT_EQ(again.header.num_params, contents.header.num_params);
-  ASSERT_EQ(again.rounds.size(), contents.rounds.size());
-  for (std::size_t r = 0; r < again.rounds.size(); ++r) {
-    ASSERT_EQ(again.rounds[r].observations.size(),
-              contents.rounds[r].observations.size());
-    for (std::size_t i = 0; i < again.rounds[r].observations.size(); ++i) {
-      const Observation& a = again.rounds[r].observations[i];
-      const Observation& b = contents.rounds[r].observations[i];
-      EXPECT_EQ(a.config.values(), b.config.values());
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.y),
-                std::bit_cast<std::uint64_t>(b.y));
-      EXPECT_EQ(a.status, b.status);
+  ASSERT_EQ(again.events.size(), contents.events.size());
+  for (std::size_t e = 0; e < again.events.size(); ++e) {
+    const JournalEvent& a = again.events[e];
+    const JournalEvent& b = contents.events[e];
+    EXPECT_EQ(a.kind, b.kind);
+    ASSERT_EQ(a.configs.size(), b.configs.size());
+    for (std::size_t i = 0; i < a.configs.size(); ++i) {
+      EXPECT_EQ(a.configs[i].values(), b.configs[i].values());
+    }
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+      EXPECT_EQ(a.results[i].token, b.results[i].token);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.results[i].y),
+                std::bit_cast<std::uint64_t>(b.results[i].y));
+      EXPECT_EQ(a.results[i].status, b.results[i].status);
     }
   }
   EXPECT_EQ(again.valid_bytes, contents.valid_bytes);
@@ -794,7 +804,7 @@ void expect_valid_salvage(const JournalContents& contents,
     writer.append_observations(std::span(&o, 1));
   }
   const JournalContents extended = core::read_journal(path);
-  EXPECT_EQ(extended.rounds.size(), contents.rounds.size() + 1);
+  EXPECT_EQ(extended.num_asks(), contents.num_asks() + 1);
 }
 
 TEST(JournalFuzz, RandomByteMutationsNeverCrashOrAcceptCorruptRecords) {
@@ -865,7 +875,7 @@ TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
   forged << '\n';
   spill(path, bytes + forged.str());
   const JournalContents contents = core::read_journal(path);
-  EXPECT_EQ(contents.rounds.size(), 1u) << "NaN-valued ok record was "
+  EXPECT_EQ(contents.num_asks(), 1u) << "NaN-valued ok record was "
                                            "accepted instead of dropped";
   EXPECT_EQ(contents.valid_bytes, bytes.size());
   std::remove(path.c_str());

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "baselines/random_search.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "test_util.hpp"
 
 namespace hpb::baselines {
@@ -46,7 +46,7 @@ TEST(SimulatedAnnealing, TemperatureCoolsMonotonically) {
 TEST(SimulatedAnnealing, ConvergesOnSeparableObjective) {
   auto ds = testutil::separable_dataset();
   SimulatedAnnealing tuner(ds.space_ptr(), {}, 3);
-  const auto result = core::run_tuning(tuner, ds, 40);
+  const auto result = core::TuningEngine().run(tuner, ds, 40);
   EXPECT_LE(result.best_value, 2.0);
 }
 
@@ -82,14 +82,14 @@ TEST(HillClimbing, ClimbsToTheUniqueOptimum) {
   // (it is coordinate-wise convex), so greedy climbing must reach 1.0.
   auto ds = testutil::separable_dataset();
   HillClimbing tuner(ds.space_ptr(), {}, 6);
-  const auto result = core::run_tuning(tuner, ds, 45);
+  const auto result = core::TuningEngine().run(tuner, ds, 45);
   EXPECT_DOUBLE_EQ(result.best_value, 1.0);
 }
 
 TEST(HillClimbing, RestartsWhenNeighborhoodExhausted) {
   auto ds = testutil::separable_dataset();
   HillClimbing tuner(ds.space_ptr(), {}, 7);
-  (void)core::run_tuning(tuner, ds, 58);
+  (void)core::TuningEngine().run(tuner, ds, 58);
   EXPECT_GE(tuner.restarts(), 1u);
 }
 
@@ -98,9 +98,9 @@ TEST(HillClimbing, BeatsRandomOnSmoothObjective) {
   double hc_total = 0.0, rnd_total = 0.0;
   for (int rep = 0; rep < 10; ++rep) {
     HillClimbing hc(ds.space_ptr(), {}, 100 + rep);
-    hc_total += core::run_tuning(hc, ds, 20).best_value;
+    hc_total += core::TuningEngine().run(hc, ds, 20).best_value;
     RandomSearch rnd(ds.space_ptr(), 200 + rep);
-    rnd_total += core::run_tuning(rnd, ds, 20).best_value;
+    rnd_total += core::TuningEngine().run(rnd, ds, 20).best_value;
   }
   EXPECT_LE(hc_total, rnd_total);
 }

@@ -9,7 +9,7 @@
 #include "apps/minisweep.hpp"
 #include "common/rng.hpp"
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 
 namespace hpb::apps {
 namespace {
@@ -86,7 +86,7 @@ TEST(MiniSweep, TunableEndToEnd) {
   core::HiPerBOtConfig config;
   config.initial_samples = 6;
   core::HiPerBOt tuner(obj.space_ptr(), config, 3);
-  const auto result = core::run_tuning(tuner, obj, 18);
+  const auto result = core::TuningEngine().run(tuner, obj, 18);
   EXPECT_EQ(result.history.size(), 18u);
   EXPECT_GT(result.best_value, 0.0);
 }
@@ -182,7 +182,7 @@ TEST(MiniSolver, TunableEndToEnd) {
   core::HiPerBOtConfig config;
   config.initial_samples = 8;
   core::HiPerBOt tuner(obj.space_ptr(), config, 4);
-  const auto result = core::run_tuning(tuner, obj, 24);
+  const auto result = core::TuningEngine().run(tuner, obj, 24);
   EXPECT_GT(result.best_value, 0.0);
   // The tuner should end up on one of the fast families (CG/PCG/MG/SOR),
   // never plain Jacobi.

@@ -13,7 +13,7 @@
 #include "core/hiperbot.hpp"
 #include "core/history_io.hpp"
 #include "core/importance.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "eval/metrics.hpp"
 #include "test_util.hpp"
 
@@ -45,7 +45,7 @@ TEST_P(DatasetProperties, TunerSuggestionsAreValidAndDistinct) {
 TEST_P(DatasetProperties, RecallIsMonotoneInBudget) {
   auto ds = dataset();
   core::HiPerBOt tuner(ds.space_ptr(), {}, 2);
-  const auto result = core::run_tuning(tuner, ds, 120);
+  const auto result = core::TuningEngine().run(tuner, ds, 120);
   double prev = 0.0;
   for (std::size_t n = 20; n <= 120; n += 20) {
     const double r = eval::recall_percentile(ds, result.history, n, 5.0);
@@ -57,7 +57,7 @@ TEST_P(DatasetProperties, RecallIsMonotoneInBudget) {
 TEST_P(DatasetProperties, BestSoFarTrajectoryNonIncreasing) {
   auto ds = dataset();
   core::HiPerBOt tuner(ds.space_ptr(), {}, 3);
-  const auto result = core::run_tuning(tuner, ds, 80);
+  const auto result = core::TuningEngine().run(tuner, ds, 80);
   for (std::size_t t = 1; t < result.best_so_far.size(); ++t) {
     EXPECT_LE(result.best_so_far[t], result.best_so_far[t - 1]);
   }
@@ -141,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(HistoryIo, CsvRoundTripPreservesObservations) {
   auto ds = testutil::separable_dataset();
   core::HiPerBOt source(ds.space_ptr(), {}, 8);
-  const auto result = core::run_tuning(source, ds, 30);
+  const auto result = core::TuningEngine().run(source, ds, 30);
 
   std::ostringstream out;
   core::write_history_csv(out, ds.space(), result.history);
@@ -162,7 +162,7 @@ TEST(HistoryIo, CsvRoundTripPreservesObservations) {
 TEST(HistoryIo, WarmStartedTunerSkipsReplayedConfigs) {
   auto ds = testutil::separable_dataset();
   core::HiPerBOt first(ds.space_ptr(), {}, 10);
-  const auto result = core::run_tuning(first, ds, 25);
+  const auto result = core::TuningEngine().run(first, ds, 25);
   std::ostringstream out;
   core::write_history_csv(out, ds.space(), result.history);
 

@@ -24,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,8 +141,20 @@ core::JournalContents journal_run(core::Tuner& tuner,
     (void)engine.run(tuner, ds, batch * rounds);
   }
   core::JournalContents contents = core::read_journal(path);
-  EXPECT_EQ(contents.rounds.size(), rounds);
+  EXPECT_EQ(contents.num_asks(), rounds);
   return contents;
+}
+
+/// The configurations of round `r`'s ask, the one place the journal holds
+/// them and the batch the replay compares.
+std::vector<space::Configuration>& round_configs(
+    core::JournalContents& contents, std::size_t r) {
+  for (core::JournalEvent& event : contents.events) {
+    if (event.kind == core::JournalEvent::Kind::kAsk && r-- == 0) {
+      return event.configs;
+    }
+  }
+  throw std::out_of_range("the journal has fewer rounds");
 }
 
 /// A fresh default HiPerBOt replayed through `contents` behind a counting
@@ -162,11 +175,7 @@ Replayed replay_counted(const tabular::TabularObjective& ds,
   const obs::Recorder recorder{.metrics = &metrics};
   out.tuner->set_recorder(&recorder);
   CountingTuner counting(*out.tuner, forward_adopt);
-  if (contents.header.async) {
-    (void)core::replay_journal_async(counting, ds.space(), contents);
-  } else {
-    (void)core::replay_journal(counting, ds.space(), contents);
-  }
+  (void)core::replay_journal(counting, ds.space(), contents);
   out.tuner->set_recorder(nullptr);
   out.suggests = counting.suggests;
   out.adopted = counting.adopted;
@@ -270,9 +279,9 @@ TEST(AdoptedReplay, EditedLastRoundIsReSuggestedAndThrows) {
       journal_run(*source, ds, "edited_last.hpbj", 2, 30);
   // Another valid configuration no round ever evaluated.
   std::set<std::vector<double>> evaluated;
-  for (const core::JournalRound& round : contents.rounds) {
-    for (const Observation& o : round.observations) {
-      evaluated.insert(o.config.values());
+  for (const core::JournalEvent& event : contents.events) {
+    for (const space::Configuration& c : event.configs) {
+      evaluated.insert(c.values());
     }
   }
   const space::Configuration* fresh = nullptr;
@@ -283,7 +292,7 @@ TEST(AdoptedReplay, EditedLastRoundIsReSuggestedAndThrows) {
     }
   }
   ASSERT_NE(fresh, nullptr);
-  contents.rounds.back().observations[0].config = *fresh;
+  round_configs(contents, 29)[0] = *fresh;
 
   auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
   try {
@@ -302,8 +311,7 @@ TEST(AdoptedReplay, EditedMiddleRoundFallsBackAndThrows) {
       journal_run(*source, ds, "edited_middle.hpbj", 2, 30);
   // Round 15 claims a configuration round 3 already evaluated: adoption
   // refuses it, and the re-suggest at round 15 disagrees with the journal.
-  contents.rounds[15].observations[0].config =
-      contents.rounds[3].observations[0].config;
+  round_configs(contents, 15)[0] = round_configs(contents, 3)[0];
 
   auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
   CountingTuner counting(*tuner, true);
@@ -385,7 +393,7 @@ TEST(AdoptedReplay, AbandonedRoundsAreStillReSuggested) {
     }
   }
   const core::JournalContents contents = core::read_journal(path);
-  ASSERT_EQ(contents.rounds.size(), 14u);
+  ASSERT_EQ(contents.num_asks(), 14u);
   auto tuner = eval::make_named_tuner("hiperbot", ds, kSeed);
   const auto [suggests, adopted] = replay_counts(*tuner, ds, contents);
   // Rounds 6, 9 and 12 were abandoned; fitted rounds 5, 7, 8, 10, 11 are

@@ -6,7 +6,7 @@
 #include <set>
 
 #include "core/hiperbot.hpp"
-#include "core/loop.hpp"
+#include "core/engine.hpp"
 #include "surface/surface.hpp"
 #include "test_util.hpp"
 
@@ -70,11 +70,11 @@ TEST(RidgeTuner, StrugglesWithInteractions) {
     rc.initial_samples = 10;
     rc.epsilon = 0.0;
     RidgeTuner ridge(ds.space_ptr(), rc, 50 + rep);
-    ridge_total += core::run_tuning(ridge, ds, 18).best_value;
+    ridge_total += core::TuningEngine().run(ridge, ds, 18).best_value;
     core::HiPerBOtConfig hc;
     hc.initial_samples = 10;
     core::HiPerBOt hpb_tuner(ds.space_ptr(), hc, 50 + rep);
-    hpb_total += core::run_tuning(hpb_tuner, ds, 18).best_value;
+    hpb_total += core::TuningEngine().run(hpb_tuner, ds, 18).best_value;
   }
   EXPECT_LE(hpb_total, ridge_total * 1.05);
 }
@@ -102,7 +102,7 @@ TEST(ExhaustiveTuner, EnumeratesPoolInOrderThenThrows) {
 TEST(ExhaustiveTuner, FullBudgetFindsTheExactBest) {
   auto ds = testutil::separable_dataset();
   ExhaustiveTuner tuner(ds.space_ptr());
-  const auto result = core::run_tuning(tuner, ds, ds.size());
+  const auto result = core::TuningEngine().run(tuner, ds, ds.size());
   EXPECT_DOUBLE_EQ(result.best_value, ds.best_value());
 }
 

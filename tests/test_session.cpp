@@ -452,10 +452,18 @@ TEST(SessionManagerLifecycle, PerSessionMetricsAreScoped) {
 // ------------------------------------------------ per-session metrics pin
 
 /// A sync and an async managed HiPerBOt session with failures, a fitted
-/// round and a cancel; returns both sessions' metrics snapshots.
+/// round and a cancel; returns both sessions' metrics snapshots. With
+/// `evict_every_verb`, each session is evicted after every verb that
+/// leaves it evictable (a sync round in flight pins it), so the next verb
+/// resumes it from its journal.
 std::pair<std::string, std::string> managed_metrics_snapshots(
-    const std::string& dir_tag) {
+    const std::string& dir_tag, bool evict_every_verb = false) {
   SessionManager manager(test_factory(), {.journal_dir = fresh_dir(dir_tag)});
+  const auto verb_done = [&](const std::string& name) {
+    if (evict_every_verb) {
+      (void)manager.evict(name);
+    }
+  };
   const auto evaluate = [](std::vector<space::Configuration> batch,
                            std::size_t fail_every) {
     std::vector<Observation> out;
@@ -472,18 +480,24 @@ std::pair<std::string, std::string> managed_metrics_snapshots(
   };
   manager.create(spec_named("pin-sync", "hiperbot", 4));
   for (std::size_t round = 0; round < 8; ++round) {
-    (void)manager.observe("pin-sync",
-                          evaluate(manager.suggest("pin-sync", 4), 3));
+    auto batch = manager.suggest("pin-sync", 4);
+    verb_done("pin-sync");
+    (void)manager.observe("pin-sync", evaluate(std::move(batch), 3));
+    verb_done("pin-sync");
   }
   (void)manager.suggest("pin-sync", 4);
+  verb_done("pin-sync");
   EXPECT_EQ(manager.cancel("pin-sync"), 4u);
+  verb_done("pin-sync");
 
   SessionSpec async = spec_named("pin-async", "hiperbot", 4);
   async.mode = core::SessionMode::kAsync;
   manager.create(async);
   for (std::size_t step = 0; step < 12; ++step) {
     std::vector<core::AsyncResult> results;
-    for (const auto& s : manager.suggest_async("pin-async", 4)) {
+    const auto asked = manager.suggest_async("pin-async", 4);
+    verb_done("pin-async");
+    for (const auto& s : asked) {
       const bool fail = results.size() == 2;
       results.push_back({s.token, fail ? EvalStatus::kCrashed : EvalStatus::kOk,
                          fail ? std::nan("")
@@ -492,9 +506,13 @@ std::pair<std::string, std::string> managed_metrics_snapshots(
     const std::uint64_t straggler = results.back().token;
     results.pop_back();
     (void)manager.observe_async("pin-async", results);
+    verb_done("pin-async");
     const std::uint64_t cancel[] = {straggler};
     EXPECT_EQ(manager.cancel("pin-async", cancel), 1u);
+    verb_done("pin-async");
   }
+  // The 18 sync verbs but their 9 suggests, and all 36 async verbs.
+  EXPECT_EQ(manager.evicted_count(), evict_every_verb ? 9u + 36u : 0u);
   return {manager.session_metrics_json("pin-sync"),
           manager.session_metrics_json("pin-async")};
 }
@@ -538,6 +556,16 @@ TEST(SessionManagerLifecycle, PerSessionMetricsSnapshotIsPinned) {
   "hiperbot.threshold": {"type":"gauge","value":4}
 }
 )json");
+}
+
+// A session's metrics outlive its evictions: the resume hands the evicted
+// entry's registry to the rebuilt one, and the replay runs before the
+// recorder is attached, so no journaled fit is counted twice.
+TEST(SessionManagerLifecycle, PerSessionMetricsSurviveEveryEviction) {
+  const auto [hot_sync, hot_async] = managed_metrics_snapshots("mgr_hot");
+  const auto [sync, async] = managed_metrics_snapshots("mgr_evicted", true);
+  EXPECT_EQ(sync, hot_sync);
+  EXPECT_EQ(async, hot_async);
 }
 
 // ------------------------------------------- eviction/resume equivalence

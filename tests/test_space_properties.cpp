@@ -39,7 +39,6 @@
 #include "core/history_io.hpp"
 #include "core/hiperbot.hpp"
 #include "core/journal.hpp"
-#include "core/loop.hpp"
 #include "core/session_manager.hpp"
 #include "core/stopping.hpp"
 #include "eval/methods.hpp"
@@ -381,7 +380,7 @@ std::size_t first_sentinel_config(const ParameterSpace& s,
 TEST(SentinelRoundTrip, HistoryCsvWarmStartPreservesSystolicConfigs) {
   auto ds = apps::dataset_by_name("systolic_small").make();
   core::HiPerBOt source(ds.space_ptr(), {}, /*seed=*/17);
-  const auto result = core::run_tuning(source, ds, 40);
+  const auto result = core::TuningEngine().run(source, ds, 40);
   // The run must actually contain sentinel-bearing configurations, or the
   // round trip proves nothing about conditional spaces.
   ASSERT_NE(first_sentinel_config(ds.space(), source.history()),
@@ -425,7 +424,7 @@ TEST(SentinelRoundTrip, JournalAppendReplayIsExactOnSystolicConfigs) {
   ASSERT_EQ(contents.num_observations(), 20u);
   core::HiPerBOt replayed(ds.space_ptr(), {}, header.seed);
   const auto observations =
-      core::replay_journal(replayed, ds.space(), contents);
+      core::replay_journal(replayed, ds.space(), contents).observations;
   ASSERT_EQ(observations.size(), 20u);
   bool sentinel_seen = false;
   for (const auto& obs : observations) {

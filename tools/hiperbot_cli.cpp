@@ -172,6 +172,13 @@ int cmd_tune(const hpb::cli::ArgParser& args) {
       return 0;
     }
     const hpb::core::JournalHeader& h = resumed->header;
+    // Refused before the writer opens the file: appending round lines to
+    // an async body would leave a journal neither reader accepts whole.
+    HPB_REQUIRE(!h.async,
+                "tune --resume: '" + resume_path +
+                    "' is an asynchronous session journal (meta mode "
+                    "async); resume it through `hiperbot serve` with its "
+                    "session directory");
     HPB_REQUIRE(h.dataset == ds.name(),
                 "tune --resume: journal was recorded on dataset '" +
                     h.dataset + "' but --csv/--dataset loaded '" + ds.name() +
@@ -213,11 +220,11 @@ int cmd_tune(const hpb::cli::ArgParser& args) {
   }
 
   std::optional<hpb::core::JournalWriter> journal;
-  std::vector<hpb::core::Observation> replayed;
+  hpb::core::ReplayResult replayed;
   if (resumed) {
     replayed = hpb::core::replay_journal(*tuner, ds.space(), *resumed);
-    std::cout << "resume: replayed " << replayed.size()
-              << " journaled observations (" << resumed->rounds.size()
+    std::cout << "resume: replayed " << replayed.observations.size()
+              << " journaled observations (" << replayed.asks
               << " rounds) from " << resume_path << '\n';
     journal.emplace(hpb::core::JournalWriter::append(resume_path, *resumed));
   } else if (!journal_path.empty()) {
@@ -260,8 +267,7 @@ int cmd_tune(const hpb::cli::ArgParser& args) {
                     .metrics = metrics_out.empty() ? nullptr : &metrics}});
   // Pass-through when all rates are 0 (the default).
   hpb::tabular::FaultInjectingObjective faulty(ds, faults);
-  const auto stopped = engine.run_until(*tuner, faulty, stop, replayed,
-                                        resumed ? resumed->rounds.size() : 0);
+  const auto stopped = engine.run_until(*tuner, faulty, stop, replayed);
   const auto& result = stopped.result;
   std::cout << "method:      " << tuner->name() << '\n'
             << "evaluations: " << result.history.size() << " (stopped: ";
