@@ -455,9 +455,12 @@ JournalContents read_journal(const std::string& path) {
     if (h.async) {
       // Asynchronous body: one self-contained line per event.
       if (tokens.size() >= 4 && tokens[0] == "ask") {
+        // The count is checked against the line before it multiplies:
+        // a product that wraps must not pass for the line's length.
         if (!parse_u64(tokens[1], requested) ||
             !parse_u64(tokens[2], first) || !parse_u64(tokens[3], actual) ||
             actual == 0 || actual > requested || first != open.size() ||
+            actual > (tokens.size() - 4) / h.num_params ||
             tokens.size() != 4 + actual * h.num_params ||
             !parse_configs(std::span(tokens).subspan(4), h.num_params,
                            configs)) {

@@ -855,6 +855,25 @@ TEST(JournalFuzz, RandomByteMutationsNeverCrashOrAcceptCorruptRecords) {
   std::remove(path.c_str());
 }
 
+TEST(JournalFuzz, AskCountThatWrapsTheLineLengthIsATornTail) {
+  // 3 * 0xaaaaaaaaaaaaaaab wraps to 1, the number of values on the forged
+  // line: the count must be refused before the reader indexes the line
+  // for three values per configuration.
+  auto ds = testutil::separable_dataset();
+  ASSERT_EQ(ds.space().num_params(), 3u);
+  const std::string path = temp_path("wrapping_ask.hpbj");
+  JournalHeader header = make_header(ds, "random", 1, 4);
+  header.async = true;
+  { (void)JournalWriter::create(path, header); }
+  const std::string bytes = slurp(path);
+  spill(path, bytes + "ask 18446744073709551615 1 12297829382473034411 "
+                      "3ff0000000000000\n");
+  const JournalContents contents = core::read_journal(path);
+  EXPECT_TRUE(contents.events.empty());
+  EXPECT_EQ(contents.valid_bytes, bytes.size());
+  std::remove(path.c_str());
+}
+
 TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
   auto ds = testutil::separable_dataset();
   const std::string path = temp_path("nonfinite.hpbj");
