@@ -1,12 +1,13 @@
 // Write-ahead observation journal: crash-tolerant persistence for tuning
 // sessions.
 //
-// A session journals each verb with one write(2) and, before the tuner
-// sees its records, one fsync, so the on-disk state is always a valid
-// prefix of the run: kill -9 the process (or crash the OS) at any byte and
-// what survives is the header plus zero or more complete verbs (a torn
-// tail — a partial line or a half-written round — is detected and dropped
-// by the reader). Resume is replay-based: tuners are deterministic given
+// A session journals each verb with one write(2) and at most one fsync
+// before the tuner sees its records (a sync round marker is synced with
+// its round's records), so the on-disk state is always a valid prefix of
+// the run: kill -9 the process (or crash the OS) at any byte and what
+// survives is the header plus zero or more complete verbs (a torn tail — a
+// partial line or a half-written round — is detected and dropped by the
+// reader). Resume is replay-based: tuners are deterministic given
 // their suggest/observe call sequence, so driving a fresh tuner through the
 // journal — each journaled batch entered as the suggest that produced it,
 // observations answered from the journal instead of re-evaluating the

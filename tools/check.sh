@@ -23,6 +23,8 @@
 # SIMD dispatch-parity + streaming top-k tests (tests/test_simd.cpp), the
 # sweep golden pins
 # (tests/test_sweep_golden.cpp: suggestions, trace bytes, pool exhaustion),
+# the session golden pins (tests/test_session_golden.cpp: journal and
+# trace bytes of scripted managed sessions, journals of an earlier build),
 # the warm-start constraint check and the streamed-generation, prefix-filter,
 # streamed-sweep and space-property suites, re-run with HPB_SIMD forced to
 # every tier this machine can execute; then a ThreadSanitizer build running the

@@ -2,7 +2,7 @@
 # before it opens the journal for append, leaving its bytes as they were:
 # a run appended to an async body leaves a journal no reader accepts whole.
 #
-#   cmake -DHIPERBOT=<cli> -DJOURNAL=<async journal> -DWORK=<scratch copy>
+#   cmake -DHIPERBOT=<cli> -DJOURNAL=<async journal> -DWORK=<copy to resume>
 #         -P cli_resume_refuses_async.cmake
 execute_process(COMMAND ${CMAKE_COMMAND} -E copy ${JOURNAL} ${WORK}
                 RESULT_VARIABLE copied)
