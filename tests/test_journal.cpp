@@ -895,7 +895,7 @@ TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
   spill(path, bytes + forged.str());
   const JournalContents contents = core::read_journal(path);
   EXPECT_EQ(contents.num_asks(), 1u) << "NaN-valued ok record was "
-                                           "accepted instead of dropped";
+                                        "accepted instead of dropped";
   EXPECT_EQ(contents.valid_bytes, bytes.size());
   std::remove(path.c_str());
 }
