@@ -405,8 +405,13 @@ JournalContents read_journal(const std::string& path) {
   // line, into one event list. A verb is parsed whole before its events
   // are committed, so a rejected verb leaves nothing behind: the prefix so
   // far stands, and valid_bytes ends with the last complete verb.
-  // open[t] is true while token t is issued and unresolved; token 0 is
-  // never issued, so open.size() is the next token.
+  // `next` is the next unissued token. Only async lines name tokens, so
+  // only the async body tracks which are open: open[t] is true while token
+  // t is issued and unresolved (token 0 is never issued, so there
+  // open.size() == next). Memory grows with the bytes read alone: an async
+  // ask's count is bounded by its line, and a sync round, whose count no
+  // line backs when it was abandoned, is never expanded per token.
+  std::uint64_t next = 1;
   std::vector<bool> open(1, false);
   std::size_t asks = 0;
   auto ask = [&](std::size_t requested, std::size_t actual,
@@ -414,9 +419,9 @@ JournalContents read_journal(const std::string& path) {
     JournalEvent event;
     event.requested = requested;
     event.actual = actual;
-    event.first_token = open.size();
+    event.first_token = next;
     event.configs = std::move(configs);
-    open.resize(open.size() + actual, true);
+    next += actual;
     contents.events.push_back(std::move(event));
     ++asks;
   };
@@ -426,17 +431,14 @@ JournalContents read_journal(const std::string& path) {
   auto observe = [&](std::vector<AsyncResult> results) {
     JournalEvent event;
     event.kind = JournalEvent::Kind::kObserve;
-    for (const AsyncResult& r : results) {
-      open[r.token] = false;
-    }
     event.results = std::move(results);
     contents.events.push_back(std::move(event));
   };
-  auto cancel = [&](std::uint64_t token) {
+  auto cancel = [&](std::uint64_t first, std::size_t count) {
     JournalEvent event;
     event.kind = JournalEvent::Kind::kCancel;
-    event.token = token;
-    open[token] = false;
+    event.first_token = first;
+    event.actual = count;
     contents.events.push_back(std::move(event));
   };
   for (;;) {
@@ -459,7 +461,7 @@ JournalContents read_journal(const std::string& path) {
         // a product that wraps must not pass for the line's length.
         if (!parse_u64(tokens[1], requested) ||
             !parse_u64(tokens[2], first) || !parse_u64(tokens[3], actual) ||
-            actual == 0 || actual > requested || first != open.size() ||
+            actual == 0 || actual > requested || first != next ||
             actual > (tokens.size() - 4) / h.num_params ||
             tokens.size() != 4 + actual * h.num_params ||
             !parse_configs(std::span(tokens).subspan(4), h.num_params,
@@ -467,14 +469,17 @@ JournalContents read_journal(const std::string& path) {
           break;
         }
         ask(requested, actual, std::move(configs));
+        open.resize(next, true);
       } else if (tokens.size() == 4 && tokens[0] == "aobs" &&
                  is_open(tokens[1], token) &&
                  parse_result(tokens[2], tokens[3], result)) {
+        open[token] = false;
         result.token = token;
         observe({result});
       } else if (tokens.size() == 2 && tokens[0] == "acancel" &&
                  is_open(tokens[1], token)) {
-        cancel(token);
+        open[token] = false;
+        cancel(token, 1);
       } else {
         break;  // torn or foreign tail, or an unknown/resolved token
       }
@@ -483,15 +488,17 @@ JournalContents read_journal(const std::string& path) {
     }
     // Synchronous body: a round marker, then `actual` obs records or one
     // abandon line. The round becomes an ask, then one observe of the
-    // whole round or a cancel of each token.
+    // whole round or one cancel of all its tokens. Its tokens must not run
+    // past the last one.
     std::uint64_t index = 0;
     if (tokens.size() != 4 || tokens[0] != "round" ||
         !parse_u64(tokens[1], index) || !parse_u64(tokens[2], requested) ||
         !parse_u64(tokens[3], actual) || index != asks || actual == 0 ||
-        actual > requested) {
+        actual > requested ||
+        actual > std::numeric_limits<std::uint64_t>::max() - next) {
       break;
     }
-    first = open.size();
+    first = next;
     std::vector<AsyncResult> results;
     bool abandoned = false;
     while (results.size() < actual) {
@@ -519,9 +526,7 @@ JournalContents read_journal(const std::string& path) {
     }
     ask(requested, actual, std::move(configs));
     if (abandoned) {
-      for (std::uint64_t i = 0; i < actual; ++i) {
-        cancel(first + i);
-      }
+      cancel(first, actual);
     } else {
       observe(std::move(results));
     }
@@ -629,12 +634,14 @@ ReplayResult replay_journal(Tuner& tuner, const space::ParameterSpace& space,
         break;
       }
       case JournalEvent::Kind::kCancel: {
-        const auto it = outstanding.find(event.token);
-        HPB_REQUIRE(it != outstanding.end(),
-                    "replay_journal: event " + std::to_string(e) +
-                        " cancels an unknown token");
-        tuner.abandon(it->second);
-        outstanding.erase(it);
+        for (std::size_t i = 0; i < event.actual; ++i) {
+          const auto it = outstanding.find(event.first_token + i);
+          HPB_REQUIRE(it != outstanding.end(),
+                      "replay_journal: event " + std::to_string(e) +
+                          " cancels an unknown token");
+          tuner.abandon(it->second);
+          outstanding.erase(it);
+        }
         break;
       }
     }

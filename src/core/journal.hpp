@@ -19,8 +19,8 @@
 // formats below, but read_journal turns either into one verb-ordered list
 // of ask / observe / cancel events, with tokens numbered from 1 across
 // asks. A sync round is an ask behind a barrier: its ask, then one observe
-// of the whole round or a cancel of each of its tokens. replay_journal
-// walks that list for both modes.
+// of the whole round or one cancel of all its tokens. replay_journal walks
+// that list for both modes.
 //
 // A batch is entered the cheap way when the tuner allows it: a tuner whose
 // suggestion was fixed by state the journal already holds adopts the
@@ -128,24 +128,24 @@ struct AsyncResult {
 /// One journaled verb, in journal (= verb) order. Both bodies read into
 /// this shape: an async line is one event, and a sync round is an ask
 /// followed by one observe event for the whole round, or, when the round
-/// was abandoned, by one cancel event per token. Tokens count from 1 across
-/// asks in both modes.
+/// was abandoned, by one cancel event of all its tokens. Tokens count from
+/// 1 across asks in both modes.
 struct JournalEvent {
   enum class Kind { kAsk, kObserve, kCancel };
   Kind kind = Kind::kAsk;
-  /// kAsk: the batch size requested and returned, the first of the
-  /// `actual` consecutive tokens issued, and one configuration per token —
-  /// none for an abandoned sync round, whose configurations were never
-  /// journaled. Each journaled configuration lives here only.
+  /// kAsk: the batch size requested and returned, and one configuration
+  /// per token — none for an abandoned sync round, whose configurations
+  /// were never journaled. Each journaled configuration lives here only.
   std::size_t requested = 0;
+  std::vector<space::Configuration> configs;
+  /// kAsk and kCancel: the `actual` consecutive tokens from `first_token`
+  /// that the ask issued or the cancel releases (one for an async cancel,
+  /// the whole round for an abandoned sync one).
   std::size_t actual = 0;
   std::uint64_t first_token = 0;
-  std::vector<space::Configuration> configs;
   /// kObserve: the results in delivery order (a sync round's in suggestion
   /// order); replay resolves each token through the ask that issued it.
   std::vector<AsyncResult> results;
-  /// kCancel: the token cancelled.
-  std::uint64_t token = 0;
 };
 
 /// A validated journal: header, every complete verb, and whether the
@@ -281,7 +281,7 @@ struct ReplayResult {
 /// an ask without them (an abandoned sync round) is always re-suggested
 /// and its size checked. Each observe event is one observe_batch call — a
 /// sync round whole, an async token as a one-element group — answered
-/// from the journal; each cancel abandons its token's configuration.
+/// from the journal; each cancel abandons its tokens' configurations.
 /// Throws if the tuner's suggestions diverge from the journal (wrong
 /// method, seed, or dataset). The result is ready for Session::replay, or
 /// for TuningEngine::run/run_until as the replayed prefix.

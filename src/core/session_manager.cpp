@@ -483,6 +483,9 @@ void SessionManager::close(const std::string& name) {
   Stripe& stripe = stripe_for(name);
   std::lock_guard<std::mutex> lock(stripe.m);
   stripe.map.erase(name);
+  // The lease's release may have evicted the closed session, parking its
+  // metrics where no resume will ever take them back.
+  stripe.parked.erase(name);
   ++closed_;
   count("manager.closed");
   emit_span("session.close", name);
@@ -576,6 +579,15 @@ std::size_t SessionManager::resident_count() const {
   for (const auto& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe->m);
     n += stripe->map.size();
+  }
+  return n;
+}
+
+std::size_t SessionManager::parked_count() const {
+  std::size_t n = 0;
+  for (const auto& stripe : stripes_) {
+    std::lock_guard<std::mutex> lock(stripe->m);
+    n += stripe->parked.size();
   }
   return n;
 }

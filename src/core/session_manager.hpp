@@ -32,7 +32,10 @@
 // every session a private MetricsRegistry scope so one session's engine.*
 // metrics never mix with another's. The registry outlives evictions: it
 // is parked when the session is evicted, handed to the resumed entry, and
-// dropped at close, so a session's metrics cover its whole life.
+// dropped at close, so a session's metrics cover its whole life. A parked
+// registry is held until its session closes or the manager is destroyed
+// (a restart starts every session's metrics afresh), so max_resident
+// bounds resident sessions, not the registries of evicted ones.
 #pragma once
 
 #include <cstddef>
@@ -228,6 +231,9 @@ class SessionManager {
   /// Resident (in-memory) sessions right now.
   [[nodiscard]] std::size_t resident_count() const;
 
+  /// Metrics registries parked for evicted sessions (test hook).
+  [[nodiscard]] std::size_t parked_count() const;
+
   /// Lifetime counters (also exported as manager.* metrics when a
   /// registry is attached).
   [[nodiscard]] std::uint64_t created_count() const noexcept;
@@ -256,7 +262,8 @@ class SessionManager {
   struct Stripe {
     mutable std::mutex m;
     EntryMap map;
-    /// Metrics of evicted sessions, until their resume takes them back.
+    /// Metrics of evicted sessions, until their resume takes them back or
+    /// their close drops them.
     std::unordered_map<std::string, std::unique_ptr<obs::MetricsRegistry>>
         parked;
   };

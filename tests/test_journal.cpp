@@ -874,6 +874,33 @@ TEST(JournalFuzz, AskCountThatWrapsTheLineLengthIsATornTail) {
   std::remove(path.c_str());
 }
 
+TEST(JournalFuzz, AbandonedRoundCountThatWrapsTheTokensIsATornTail) {
+  // No line backs an abandoned round's count, so the reader must size
+  // nothing by it, and a count whose tokens run past the last one (token 1
+  // plus 2^64 - 1) must not pass.
+  auto ds = testutil::separable_dataset();
+  const std::string path = temp_path("wrapping_round.hpbj");
+  { (void)JournalWriter::create(path, make_header(ds, "random", 1, 4)); }
+  const std::string bytes = slurp(path);
+  spill(path, bytes + "round 0 18446744073709551615 18446744073709551615\n"
+                      "abandon\n");
+  const JournalContents contents = core::read_journal(path);
+  EXPECT_TRUE(contents.events.empty());
+  EXPECT_EQ(contents.valid_bytes, bytes.size());
+  // A count that fits reads as one ask and one cancel of the whole range,
+  // whatever its size.
+  const std::string huge =
+      bytes + "round 0 1000000000000 1000000000000\nabandon\n";
+  spill(path, huge);
+  const JournalContents fits = core::read_journal(path);
+  ASSERT_EQ(fits.events.size(), 2u);
+  EXPECT_EQ(fits.events[1].kind, JournalEvent::Kind::kCancel);
+  EXPECT_EQ(fits.events[1].first_token, 1u);
+  EXPECT_EQ(fits.events[1].actual, 1000000000000u);
+  EXPECT_EQ(fits.valid_bytes, huge.size());
+  std::remove(path.c_str());
+}
+
 TEST(JournalFuzz, OkRecordWithNaNObjectiveIsATornTail) {
   auto ds = testutil::separable_dataset();
   const std::string path = temp_path("nonfinite.hpbj");

@@ -568,6 +568,29 @@ TEST(SessionManagerLifecycle, PerSessionMetricsSurviveEveryEviction) {
   EXPECT_EQ(async, hot_async);
 }
 
+TEST(SessionManagerLifecycle, ClosingAnEvictedSessionDropsItsParkedMetrics) {
+  // One stripe of one, and "busy"'s round in flight pins it: the close of
+  // "closing" resumes it, and the close's own release evicts it again.
+  SessionManager manager(test_factory(),
+                         {.journal_dir = fresh_dir("mgr_close_parked"),
+                          .max_resident = 1,
+                          .num_stripes = 1});
+  manager.create(spec_named("closing", "random"));
+  std::vector<Observation> observations;
+  for (auto& c : manager.suggest("closing", 2)) {
+    const double y = testutil::separable_value(c);
+    observations.push_back({std::move(c), y, EvalStatus::kOk});
+  }
+  (void)manager.observe("closing", std::move(observations));
+  manager.create(spec_named("busy", "random"));
+  (void)manager.suggest("busy", 2);
+  ASSERT_EQ(manager.parked_count(), 1u);  // "closing", evicted by create
+  manager.close("closing");
+  EXPECT_EQ(manager.evicted_count(), 2u);
+  EXPECT_EQ(manager.parked_count(), 0u);
+  EXPECT_EQ(manager.resident_count(), 1u);
+}
+
 // ------------------------------------------- eviction/resume equivalence
 
 /// Drive one managed session for `rounds` rounds of `batch`, force-evicting
